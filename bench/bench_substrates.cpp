@@ -1,5 +1,5 @@
 // Substrate micro-benchmarks (Sec. II-C2's integration claims): DFS block
-// I/O, message-log produce/fetch, LSM store reads/writes/scans, document
+// I/O, message-broker produce/fetch, LSM store reads/writes/scans, document
 // store queries, dataflow shuffle, scheduler placement, and NLP primitives.
 // These quantify the building blocks underneath the figure benches.
 
@@ -7,7 +7,7 @@
 
 #include "dataflow/dataset.h"
 #include "dfs/dfs.h"
-#include "mq/message_log.h"
+#include "mq/broker_cluster.h"
 #include "sched/resource_manager.h"
 #include "store/document_store.h"
 #include "store/lsm.h"
@@ -70,9 +70,18 @@ BENCHMARK(BM_DfsReplicationPass)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- MQ
 
+// The broker as one node with replication factor 1: the produce/fetch path
+// without replication.
+mq::BrokerClusterConfig SingleNode() {
+  mq::BrokerClusterConfig config;
+  config.nodes = 1;
+  config.replication_factor = 1;
+  return config;
+}
+
 void BM_MqProduce(benchmark::State& state) {
   SimClock clock;
-  mq::MessageLog log(clock);
+  mq::BrokerCluster log(clock, SingleNode());
   (void)log.CreateTopic("t", 8);
   Rng rng(4);
   const std::string value = RandomValue(rng, 256);
@@ -88,7 +97,7 @@ BENCHMARK(BM_MqProduce);
 
 void BM_MqFetchBatch128(benchmark::State& state) {
   SimClock clock;
-  mq::MessageLog log(clock);
+  mq::BrokerCluster log(clock, SingleNode());
   (void)log.CreateTopic("t", 1);
   Rng rng(5);
   for (int i = 0; i < 100'000; ++i) {

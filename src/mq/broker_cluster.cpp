@@ -81,6 +81,20 @@ Status DivergenceError(const ProduceBatchRequest& request,
                        cause.message());
 }
 
+// A single record as a one-record batch request. Built before the cluster
+// lock is taken: the batch does not depend on the partition choice.
+ProduceBatchRequest OneRecordRequest(const std::string& topic,
+                                     std::string_view key,
+                                     std::string_view value,
+                                     const Headers& headers) {
+  RecordBatchBuilder builder;
+  builder.Add(key, value, headers);
+  ProduceBatchRequest request;
+  request.topic = topic;
+  request.batch = builder.Build();
+  return request;
+}
+
 }  // namespace
 
 std::string_view ClusterEventKindName(ClusterEvent::Kind kind) {
@@ -202,7 +216,7 @@ Result<const BrokerCluster::PartitionMeta*> BrokerCluster::MetaLocked(
 }
 
 int BrokerCluster::PickPartitionLocked(TopicMeta& topic,
-                                       const std::string& key) {
+                                       std::string_view key) {
   const std::size_t n = topic.partitions.size();
   if (!key.empty()) return int(Fnv1a64(key) % n);
   // Keyless round-robin skips partitions that currently have no leader so a
@@ -221,35 +235,26 @@ ProducerId BrokerCluster::CreateProducer() {
   return next_producer_++;
 }
 
-Result<ProduceRequest> BrokerCluster::Prepare(ProducerId producer,
-                                              const std::string& topic,
-                                              std::string key,
-                                              std::string value,
-                                              Headers headers) {
+Result<ProduceBatchRequest> BrokerCluster::Prepare(ProducerId producer,
+                                                   const std::string& topic,
+                                                   std::string_view key,
+                                                   std::string_view value,
+                                                   const Headers& headers) {
+  ProduceBatchRequest request = OneRecordRequest(topic, key, value, headers);
   MutexLock lock(mu_);
   const auto it = topics_.find(topic);
-  if (it == topics_.end()) return NotFoundError("topic " + topic);
+  if (it == topics_.end()) return UnknownTopicError(topic);
   if (producer < 0 || producer >= next_producer_) {
     return InvalidArgumentError("unknown producer id " +
                                 std::to_string(producer));
   }
-  ProduceRequest request;
-  request.topic = topic;
   request.partition = PickPartitionLocked(it->second, key);
-  request.key = std::move(key);
-  request.value = std::move(value);
-  request.headers = std::move(headers);
   if (producer > 0) {
     request.producer_id = producer;
-    request.sequence =
+    request.first_sequence =
         producer_seq_[producer][TopicPartition{topic, request.partition}]++;
   }
   return request;
-}
-
-Result<ProduceAck> BrokerCluster::Produce(const ProduceRequest& request) {
-  MutexLock lock(mu_);
-  return ProduceLocked(request);
 }
 
 Result<ProduceBatchRequest> BrokerCluster::PrepareBatch(
@@ -286,46 +291,26 @@ Result<ProduceAck> BrokerCluster::Produce(const ProduceBatchRequest& request) {
 }
 
 Result<ProduceAck> BrokerCluster::Produce(const std::string& topic,
-                                          std::string key, std::string value,
-                                          Headers headers) {
+                                          std::string_view key,
+                                          std::string_view value,
+                                          const Headers& headers) {
+  ProduceBatchRequest request = OneRecordRequest(topic, key, value, headers);
   MutexLock lock(mu_);
   const auto it = topics_.find(topic);
-  if (it == topics_.end()) return NotFoundError("topic " + topic);
-  ProduceRequest request;
-  request.topic = topic;
+  if (it == topics_.end()) return UnknownTopicError(topic);
   request.partition = PickPartitionLocked(it->second, key);
-  request.key = std::move(key);
-  request.value = std::move(value);
-  request.headers = std::move(headers);
-  return ProduceLocked(request);
+  return ProduceBatchLocked(request);
 }
 
 Result<ProduceAck> BrokerCluster::ProduceTo(const std::string& topic,
-                                            int partition, std::string key,
-                                            std::string value,
-                                            Headers headers) {
-  ProduceRequest request;
-  request.topic = topic;
+                                            int partition,
+                                            std::string_view key,
+                                            std::string_view value,
+                                            const Headers& headers) {
+  ProduceBatchRequest request = OneRecordRequest(topic, key, value, headers);
   request.partition = partition;
-  request.key = std::move(key);
-  request.value = std::move(value);
-  request.headers = std::move(headers);
   MutexLock lock(mu_);
-  return ProduceLocked(request);
-}
-
-Result<ProduceAck> BrokerCluster::ProduceLocked(const ProduceRequest& request) {
-  // Compatibility shim: wrap the record in a one-record batch and run the
-  // batched path — one dedup check, one append, one shared replication.
-  RecordBatchBuilder builder;
-  builder.Add(request.key, request.value, request.headers);
-  ProduceBatchRequest batched;
-  batched.topic = request.topic;
-  batched.partition = request.partition;
-  batched.producer_id = request.producer_id;
-  batched.first_sequence = request.sequence;
-  batched.batch = builder.Build();
-  return ProduceBatchLocked(batched);
+  return ProduceBatchLocked(request);
 }
 
 METRO_NOALLOC Result<ProduceAck> BrokerCluster::ProduceBatchLocked(
@@ -459,7 +444,35 @@ Result<std::vector<Record>> BrokerCluster::Fetch(const std::string& topic,
   const BrokerNode::Replica* lead =
       nodes_[std::size_t(pm.leader)]->Find(TopicPartitionView{topic, partition});
   if (lead == nullptr) return InternalError("leader replica missing");
-  return lead->log.Fetch(offset, max_records, pm.high_water);
+  // The one materializing read: copy out of batch views, crossing batch
+  // boundaries. The first view carries the boundary errors; later ones
+  // start inside [offset, high-water mark) and cannot fail.
+  std::vector<Record> out;
+  if (offset >= 0 && offset < pm.high_water) {
+    out.reserve(std::min<std::size_t>(max_records,
+                                      std::size_t(pm.high_water - offset)));
+  }
+  std::int64_t cursor = offset;
+  do {
+    auto view = lead->log.FetchBatch(cursor, max_records - out.size(),
+                                     pm.high_water);
+    if (!view.ok()) return view.status();
+    if (view->empty()) break;
+    for (std::size_t i = 0; i < view->size(); ++i) {
+      const RecordView rv = (*view)[i];
+      Record rec;
+      rec.offset = rv.offset();
+      rec.timestamp = rv.timestamp();
+      rec.key = std::string(rv.key());
+      rec.value = std::string(rv.value());
+      rec.headers = rv.CopyHeaders();
+      rec.producer_id = rv.producer_id();
+      rec.sequence = rv.sequence();
+      out.push_back(std::move(rec));
+    }
+    cursor = view->next_offset();
+  } while (out.size() < max_records);
+  return out;
 }
 
 METRO_NOALLOC Result<BatchView> BrokerCluster::FetchBatch(
@@ -657,19 +670,16 @@ void BrokerCluster::ResyncReplicaLocked(const TopicPartition& tp,
       continue;
     }
     // Cold fallback (the cursor landed mid-batch after a defensive
-    // truncation): copy record-by-record until the next batch boundary.
+    // truncation): copy one-record batches until the next batch boundary.
     const std::optional<RecordView> rv = lead.log.ViewAt(off);
     if (!rv) break;  // unreachable: [end, lead end) is retained
-    Record rec;
-    rec.offset = rv->offset();
-    rec.timestamp = rv->timestamp();
-    rec.key = std::string(rv->key());
-    rec.value = std::string(rv->value());
-    rec.headers = rv->CopyHeaders();
-    rec.producer_id = rv->producer_id();
-    rec.sequence = rv->sequence();
-    rep.sequences.Observe(rec);
-    if (!rep.log.AppendReplica(std::move(rec)).ok()) return;  // retry later
+    RecordBatchBuilder builder;
+    builder.Add(rv->key(), rv->value(), rv->CopyHeaders());
+    std::shared_ptr<RecordBatch> one = builder.Build();
+    one->Seal(off, rv->timestamp(), rv->producer_id(), rv->sequence());
+    if (!rep.log.AppendReplicaBatch(std::move(one)).ok()) return;  // retry
+    // As above: dedup state only after the append landed.
+    rep.sequences.Observe(rv->producer_id(), rv->sequence(), off);
     ++off;
   }
   // Rejoin the ISR, keeping it in replica (preferred-leader) order.

@@ -159,22 +159,11 @@ struct ClusterEvent {
 
 std::string_view ClusterEventKindName(ClusterEvent::Kind kind);
 
-/// A pinned, retry-safe produce: partition and idempotence identity are
-/// assigned once by `Prepare`, so re-submitting the same request after a
-/// transient failure (or across a leader failover) cannot duplicate.
-struct ProduceRequest {
-  std::string topic;
-  int partition = 0;
-  std::string key;
-  std::string value;
-  Headers headers;
-  ProducerId producer_id = 0;
-  std::int64_t sequence = -1;
-};
-
-/// A pinned, retry-safe batched produce (see `PrepareBatch`). The batch's
-/// payload arena is built once by the caller; the broker appends it to the
-/// leader and shares it into every ISR replica by reference. Resubmitting
+/// A pinned, retry-safe produce (see `Prepare` and `PrepareBatch`):
+/// partition and idempotence identity are assigned once, and the batch's
+/// payload arena is built once, outside the cluster lock; the broker
+/// appends it to the leader and shares it into every ISR replica by
+/// reference. A single record travels as a one-record batch. Resubmitting
 /// the same request after a transient failure (or across a leader failover)
 /// cannot duplicate: the sequence range `[first_sequence,
 /// first_sequence + batch->size())` is deduplicated as a unit.
@@ -228,31 +217,29 @@ class BrokerCluster {
   /// Non-idempotent convenience produce; the partition is chosen by key
   /// hash, or round-robin over partitions that currently have a leader for
   /// empty keys (skipped leaderless partitions tick `mq.roundrobin_skips`).
-  Result<ProduceAck> Produce(const std::string& topic, std::string key,
-                             std::string value, Headers headers = {})
-      METRO_EXCLUDES(mu_);
+  Result<ProduceAck> Produce(const std::string& topic, std::string_view key,
+                             std::string_view value,
+                             const Headers& headers = {}) METRO_EXCLUDES(mu_);
 
   /// Non-idempotent produce to an explicit partition.
   Result<ProduceAck> ProduceTo(const std::string& topic, int partition,
-                               std::string key, std::string value,
-                               Headers headers = {}) METRO_EXCLUDES(mu_);
+                               std::string_view key, std::string_view value,
+                               const Headers& headers = {}) METRO_EXCLUDES(mu_);
 
   /// Registers an idempotent producer and returns its id.
   ProducerId CreateProducer() METRO_EXCLUDES(mu_);
 
-  /// Builds a pinned request: picks the partition (as `Produce` does) and,
-  /// for a registered producer, assigns the next per-partition sequence
-  /// number. The request may then be submitted through `Produce(request)`
-  /// any number of times — exactly one append results.
-  Result<ProduceRequest> Prepare(ProducerId producer, const std::string& topic,
-                                 std::string key, std::string value,
-                                 Headers headers = {}) METRO_EXCLUDES(mu_);
-
-  /// Submits a prepared request. acks=quorum: fails with kUnavailable when
-  /// the partition has no leader or the ISR is below quorum (retry after
-  /// failover), with kResourceExhausted when the backlog bound is hit.
-  /// Implemented as a one-record batch through the batched path below.
-  Result<ProduceAck> Produce(const ProduceRequest& request)
+  /// Builds a pinned one-record request: picks the partition (as `Produce`
+  /// does) and, for a registered producer, assigns the next per-partition
+  /// sequence number. The one-record batch is built before the cluster lock
+  /// is taken. The request may then be submitted through `Produce(request)`
+  /// — for an idempotent producer any number of times, with exactly one
+  /// append resulting.
+  Result<ProduceBatchRequest> Prepare(ProducerId producer,
+                                      const std::string& topic,
+                                      std::string_view key,
+                                      std::string_view value,
+                                      const Headers& headers = {})
       METRO_EXCLUDES(mu_);
 
   /// Builds a pinned batched request to an explicit partition from the
@@ -268,11 +255,14 @@ class BrokerCluster {
                                            RecordBatchBuilder& builder)
       METRO_EXCLUDES(mu_);
 
-  /// Submits a pinned batched request: quorum-acked, idempotent over the
-  /// whole sequence range, appended to the leader and shared (not copied)
-  /// into every ISR replica. Error space matches the single-record path,
-  /// plus kFailedPrecondition for a partially-appended range
-  /// (`mq.sequence_overlap`) and for resubmitting an already-committed
+  /// Submits a pinned request: quorum-acked, idempotent over the whole
+  /// sequence range, appended to the leader and shared (not copied) into
+  /// every ISR replica. Fails with kUnavailable when the partition has no
+  /// leader or the ISR is below quorum (retry after failover), with
+  /// kResourceExhausted when the backlog bound is hit, and with
+  /// kFailedPrecondition for a range below the tracked idempotence window
+  /// (`mq.sequence_too_old`), a partially-appended range
+  /// (`mq.sequence_overlap`) or a resubmitted, already-committed
   /// non-idempotent batch. Steady state is allocation-free end to end.
   Result<ProduceAck> Produce(const ProduceBatchRequest& request)
       METRO_EXCLUDES(mu_);
@@ -280,9 +270,11 @@ class BrokerCluster {
   // --- fetch / metadata ---
 
   /// Reads up to `max_records` from the leader, never past the high-water
-  /// mark. kUnavailable when the partition has no leader; kOutOfRange below
-  /// the retention floor (consumers reset to `begin_offset` — see
-  /// `MessageLog::Fetch` for the reset policy).
+  /// mark, copied out as owning `Record`s (crossing batch boundaries) — the
+  /// one materializing read; the hot path uses `FetchBatch`. An offset at
+  /// the high-water mark returns an empty vector; kUnavailable when the
+  /// partition has no leader; kOutOfRange beyond the end or below the
+  /// retention floor (reset policy at `FetchBatch`).
   Result<std::vector<Record>> Fetch(const std::string& topic, int partition,
                                     std::int64_t offset,
                                     std::size_t max_records) const
@@ -294,6 +286,13 @@ class BrokerCluster {
   /// view means "parked at the high-water mark"). The view keeps the
   /// underlying immutable batch alive, so it remains valid after the call
   /// returns — even across retention or failover.
+  ///
+  /// Reset policy: a consumer whose next offset has been retired by
+  /// retention gets kOutOfRange and is expected to reset to the current
+  /// `begin_offset` (from `GetPartitionInfo`), accounting the gap as
+  /// skipped records — the records are gone; re-fetching older offsets
+  /// cannot bring them back. See core::CityPipeline's consumer loop for the
+  /// reference implementation.
   Result<BatchView> FetchBatch(const std::string& topic, int partition,
                                std::int64_t offset,
                                std::size_t max_records) const
@@ -337,7 +336,7 @@ class BrokerCluster {
   /// otherwise.
   Status Probe() const METRO_EXCLUDES(mu_);
 
-  // --- consumer groups (same contract as MessageLog) ---
+  // --- consumer groups (see GroupCoordinator) ---
 
   Result<std::vector<int>> JoinGroup(const std::string& group,
                                      const std::string& topic,
@@ -372,17 +371,13 @@ class BrokerCluster {
     std::size_t round_robin = 0;
   };
 
-  /// Single-record path: wraps the request in a one-record batch and runs
-  /// it through `ProduceBatchLocked`.
-  Result<ProduceAck> ProduceLocked(const ProduceRequest& request)
-      METRO_REQUIRES(mu_);
-  /// The batched produce path: dedup (whole range), backlog bound, seal,
+  /// The one produce path: dedup (whole range), backlog bound, seal,
   /// leader append, shared replication, sequence-range observation.
   Result<ProduceAck> ProduceBatchLocked(const ProduceBatchRequest& request)
       METRO_REQUIRES(mu_);
   /// Picks the partition for a produce (key hash / leader-skipping
   /// round-robin); never fails for a known topic.
-  int PickPartitionLocked(TopicMeta& topic, const std::string& key)
+  int PickPartitionLocked(TopicMeta& topic, std::string_view key)
       METRO_REQUIRES(mu_);
   /// Copies the leader's suffix into `node`'s replica and rejoins the ISR.
   void ResyncReplicaLocked(const TopicPartition& tp, PartitionMeta& meta,

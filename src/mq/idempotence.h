@@ -31,7 +31,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "mq/partition_log.h"
 #include "util/analysis.h"
 
 namespace metro::mq {
@@ -77,9 +76,11 @@ class SequenceTable {
   Probe CheckRange(ProducerId producer, std::int64_t first,
                    std::int64_t count) const;
 
-  /// Folds an appended record into the table (leader append and follower
-  /// replication both call this, keeping tables identical across the ISR).
-  void Observe(const Record& record);
+  /// Folds one appended record — `sequence` landed at `offset` — into the
+  /// table (leader append and follower replication both call this, keeping
+  /// tables identical across the ISR).
+  void Observe(ProducerId producer, std::int64_t sequence,
+               std::int64_t offset);
 
   /// Folds an appended batch — sequences `[first, first + count)` landed at
   /// offsets `[base_offset, base_offset + count)`. The in-order fast path

@@ -117,56 +117,6 @@ std::optional<RecordView> PartitionLog::ViewAt(std::int64_t offset) const {
   return seg->batch->view(std::size_t(offset - seg->first_offset));
 }
 
-std::int64_t PartitionLog::Append(Record record) {
-  RecordBatchBuilder builder;
-  builder.Add(record.key, record.value, record.headers);
-  std::shared_ptr<RecordBatch> batch = builder.Build();
-  batch->Seal(end_offset_, record.timestamp, record.producer_id,
-              record.sequence);
-  return AppendBatch(std::move(batch));
-}
-
-Status PartitionLog::AppendReplica(Record record) {
-  if (record.offset != end_offset_) {
-    return ReplicaGapError(record.offset, end_offset_);
-  }
-  RecordBatchBuilder builder;
-  builder.Add(record.key, record.value, record.headers);
-  std::shared_ptr<RecordBatch> batch = builder.Build();
-  batch->Seal(record.offset, record.timestamp, record.producer_id,
-              record.sequence);
-  return AppendReplicaBatch(std::move(batch));
-}
-
-Result<std::vector<Record>> PartitionLog::Fetch(std::int64_t offset,
-                                                std::size_t max_records,
-                                                std::int64_t limit) const {
-  if (offset < begin_offset_) return RetentionFloorError(offset, begin_offset_);
-  if (offset > end_offset_) return BeyondEndError(offset, end_offset_);
-  const std::int64_t readable = std::min(limit, end_offset_);
-  std::vector<Record> out;
-  std::int64_t cursor = offset;
-  while (cursor < readable && out.size() < max_records) {
-    auto view = FetchBatch(cursor, max_records - out.size(), readable);
-    const BatchView& bv = view.value();  // in-range by the checks above
-    if (bv.empty()) break;
-    for (std::size_t i = 0; i < bv.size(); ++i) {
-      const RecordView rv = bv[i];
-      Record rec;
-      rec.offset = rv.offset();
-      rec.timestamp = rv.timestamp();
-      rec.key = std::string(rv.key());
-      rec.value = std::string(rv.value());
-      rec.headers = rv.CopyHeaders();
-      rec.producer_id = rv.producer_id();
-      rec.sequence = rv.sequence();
-      out.push_back(std::move(rec));
-    }
-    cursor = bv.next_offset();
-  }
-  return out;
-}
-
 std::int64_t PartitionLog::EnforceRetention(TimeNs cutoff) {
   std::int64_t dropped = 0;
   while (seg_count_ > 0) {

@@ -1,28 +1,27 @@
 #pragma once
 
-// The per-partition append-only record segment shared by every broker role.
+// The per-partition append-only record segment of the broker.
 //
-// One `PartitionLog` is one replica of one partition: the single-broker
-// `MessageLog` holds one per partition, and each replicated `BrokerNode`
-// holds one per (topic, partition) it hosts. It models a broker's disk —
-// offsets are assigned monotonically, the front is trimmed by retention,
-// and the tail can be truncated during follower resync. It carries no
-// synchronization: the owning broker guards it with its own lock.
+// One `PartitionLog` is one replica of one partition: each `BrokerNode` of
+// the replicated `BrokerCluster` holds one per (topic, partition) it hosts.
+// It models a broker's disk — offsets are assigned monotonically, the front
+// is trimmed by retention, and the tail can be truncated during follower
+// resync. It carries no synchronization: the owning broker guards it with
+// its own lock.
 //
 // Storage is a ring of *segments*, each one `shared_ptr<const RecordBatch>`
 // (see record_batch.h). A replicated batch is therefore the SAME object on
 // every ISR member — replication and resync bump a refcount instead of
 // copying payload bytes — and fetches hand out `BatchView`s over it rather
-// than materialized `Record` copies. The single-record `Append`/`Fetch`
-// API remains as a compatibility shim over one-record batches.
+// than materialized `Record` copies. Records enter and leave only as
+// batches; a single record is a one-record batch.
 //
-// Fetch boundary contract (shared by `Fetch` and `FetchBatch`, and relied
-// on by both the consumer path and revive-time replica resync in
-// broker_cluster.cpp):
+// Fetch boundary contract (relied on by both the consumer path and
+// revive-time replica resync in broker_cluster.cpp):
 //
 //   * `offset < begin_offset()`          -> kOutOfRange ("below retention
 //     floor"; the consumer's cursor points at trimmed history and must be
-//     reset — see `MessageLog::Fetch` for the reset policy).
+//     reset — see `BrokerCluster::FetchBatch` for the reset policy).
 //   * `offset > end_offset()`            -> kOutOfRange ("beyond end"; the
 //     cursor points past anything the log has ever assigned).
 //   * otherwise                          -> OK with the records in
@@ -45,8 +44,8 @@
 
 namespace metro::mq {
 
-/// One record in a partition, materialized (the compatibility / convenience
-/// representation; the zero-copy path reads `RecordView`s instead).
+/// One record in a partition, materialized by `BrokerCluster::Fetch` at the
+/// API edge (the zero-copy path reads `RecordView`s instead).
 struct Record {
   std::int64_t offset = 0;
   TimeNs timestamp = 0;
@@ -72,8 +71,8 @@ struct PartitionInfo {
 /// idempotent retry the broker suppressed — the records were already
 /// appended by an earlier attempt and `offset` is the original base offset
 /// when the broker still remembers it (-1 for older duplicates past the
-/// remembered window). `count` is the number of records acked (1 for the
-/// single-record API).
+/// remembered window). `count` is the number of records acked (1 for a
+/// single-record produce).
 struct ProduceAck {
   int partition = 0;
   std::int64_t offset = 0;
@@ -90,8 +89,6 @@ class PartitionLog {
   /// Retained records (end - begin); the backlog the backpressure bound
   /// applies to.
   std::int64_t size() const { return end_offset_ - begin_offset_; }
-
-  // --- batched zero-copy path ---
 
   /// Appends a sealed batch as leader. The broker must have sealed it with
   /// `base_offset == end_offset()` (it owns offset assignment under its
@@ -118,29 +115,13 @@ class PartitionLog {
   /// The whole retained batch whose base offset is exactly `offset`, for
   /// zero-copy replica resync; nullptr when `offset` is not a retained
   /// segment boundary or the segment was tail-truncated (resync falls back
-  /// to record-level copy).
+  /// to one-record batches).
   std::shared_ptr<const RecordBatch> BatchAt(std::int64_t offset) const;
 
   /// The record at `offset` viewed in place; nullopt outside the retained
   /// window. The view borrows from the log — it is invalidated by
   /// retention/truncation, so use it before releasing the broker lock.
   std::optional<RecordView> ViewAt(std::int64_t offset) const;
-
-  // --- single-record compatibility path (one-record batches) ---
-
-  /// Appends as leader: assigns the next offset and returns it.
-  std::int64_t Append(Record record);
-
-  /// Appends as follower: `record.offset` must equal `end_offset()` (the
-  /// replication stream is contiguous); kFailedPrecondition otherwise.
-  Status AppendReplica(Record record);
-
-  /// Materializing fetch: same boundary contract as `FetchBatch`, but
-  /// copies up to `max_records` out as owning `Record`s (and, unlike
-  /// `FetchBatch`, crosses segment boundaries).
-  Result<std::vector<Record>> Fetch(std::int64_t offset,
-                                    std::size_t max_records,
-                                    std::int64_t limit) const;
 
   // --- retention / truncation ---
 

@@ -4,11 +4,12 @@
 //
 // A `FaultPlan` is a time-ordered script of faults against the subsystems a
 // deployment is built from: DFS DataNode crashes, network link flaps and
-// latency spikes, message-log partition outages, and whole analysis-server
-// tier outages. Plans are either hand-written (scripted experiments) or
-// drawn from a seeded distribution at a chosen intensity, and are applied
-// deterministically — pull-style against any clock via `ApplyUpTo`, or
-// scheduled onto a discrete-event `net::Simulator` via `ScheduleOn`.
+// latency spikes, message-broker node and partition-leader crashes, and
+// whole analysis-server tier outages. Plans are either hand-written
+// (scripted experiments) or drawn from a seeded distribution at a chosen
+// intensity, and are applied deterministically — pull-style against any
+// clock via `ApplyUpTo`, or scheduled onto a discrete-event
+// `net::Simulator` via `ScheduleOn`.
 
 #include <cstdint>
 #include <string>
@@ -17,7 +18,6 @@
 #include "dfs/dfs.h"
 #include "fog/fog.h"
 #include "mq/broker_cluster.h"
-#include "mq/message_log.h"
 #include "net/simulator.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -31,8 +31,8 @@ enum class FaultKind {
   kLinkDown,          ///< net link (`index`, `index2`) goes down
   kLinkUp,            ///< net link (`index`, `index2`) comes back
   kLinkLatencySpike,  ///< net link latency multiplied by `magnitude`
-  kMqPartitionDown,   ///< `topic` partition `index` leader fails
-  kMqPartitionUp,     ///< `topic` partition `index` leader returns
+  kMqPartitionDown,   ///< `topic` partition `index` preferred leader crashes
+  kMqPartitionUp,     ///< `topic` partition `index` preferred leader returns
   kMqNodeKill,        ///< replicated-broker node `index` crashes
   kMqNodeRevive,      ///< replicated-broker node `index` restarts
   kServerOutage,      ///< fog analysis server `index` loses all fog links
@@ -48,7 +48,7 @@ struct FaultEvent {
   int index = 0;           ///< node / partition / server id (kind-dependent)
   int index2 = 0;          ///< second link endpoint for link faults
   double magnitude = 1.0;  ///< latency multiplier for kLinkLatencySpike
-  std::string topic;       ///< topic for message-log faults
+  std::string topic;       ///< topic for partition faults
 };
 
 /// The subsystems a plan may target; unneeded targets stay null and events
@@ -56,13 +56,10 @@ struct FaultEvent {
 struct FaultTargets {
   dfs::Cluster* dfs = nullptr;
   net::Simulator* net = nullptr;
-  mq::MessageLog* mq = nullptr;
-  /// Replicated broker. kMqNodeKill / kMqNodeRevive act on it directly;
-  /// kMqPartitionDown / kMqPartitionUp are re-targeted onto it as a kill /
-  /// revive of the partition's *preferred* leader, so partition-outage plans
-  /// written against the single-broker log replay unchanged against the
-  /// cluster — where the same fault now triggers a failover instead of an
-  /// outage.
+  /// The broker. kMqNodeKill / kMqNodeRevive act on a node directly;
+  /// kMqPartitionDown / kMqPartitionUp kill / revive the partition's
+  /// *preferred* leader — a failover when another ISR member survives, an
+  /// outage of every partition the node led when it was the only replica.
   mq::BrokerCluster* mq_cluster = nullptr;
   fog::FogTopology* fog = nullptr;  ///< for server-tier outages
 };
@@ -81,9 +78,9 @@ class FaultPlan {
   /// injected fault gets a matching recovery event before `horizon`, so a
   /// full replay always ends healthy. Which fault classes are drawn depends
   /// on which targets exist: DataNode crash/revive cycles when `dfs` is set,
-  /// partition outages per `topic` when `mq` or `mq_cluster` is set, broker
-  /// node kill/revive cycles when `mq_cluster` is set, and server-tier
-  /// outages + fog-link latency spikes when `fog` is set.
+  /// preferred-leader crashes per `topic` and broker node kill/revive
+  /// cycles when `mq_cluster` is set, and server-tier outages + fog-link
+  /// latency spikes when `fog` is set.
   static FaultPlan Random(double intensity, TimeNs horizon,
                           const FaultTargets& targets,
                           const std::vector<std::string>& topics,

@@ -35,7 +35,6 @@ inline constexpr int kResilienceBreaker = 22;  // CircuitBreaker::mu_
 
 // mq — broker cluster metadata, partition logs, consumer groups.
 inline constexpr int kMqCluster = 30;  // BrokerCluster::mu_
-inline constexpr int kMqLog = 32;      // MessageLog::mu_
 inline constexpr int kMqGroups = 34;   // GroupCoordinator::mu_
 
 // store — wide-column, document, and LSM engines. Writer-side locks rank

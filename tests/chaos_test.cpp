@@ -12,7 +12,6 @@
 #include "fog/fog.h"
 #include "ingest/flume.h"
 #include "mq/broker_cluster.h"
-#include "mq/message_log.h"
 #include "net/simulator.h"
 #include "resilience/chaos.h"
 #include "resilience/health.h"
@@ -296,24 +295,31 @@ TEST(InfrastructureHealthTest, BuiltInProbesSeeInjectedFaults) {
 
 TEST(FaultPlanTest, AppliesEventsUpToNowExactlyOnce) {
   SimClock clock;
-  mq::MessageLog log(clock);
-  ASSERT_TRUE(log.CreateTopic("t", 1).ok());
+  mq::BrokerClusterConfig config;
+  config.nodes = 1;
+  config.replication_factor = 1;
+  mq::BrokerCluster cluster(clock, config);
+  ASSERT_TRUE(cluster.CreateTopic("t", 1).ok());
   FaultPlan plan;
   plan.Add(Event(20 * kMillisecond, FaultKind::kMqPartitionUp, 0, "t"));
   plan.Add(Event(10 * kMillisecond, FaultKind::kMqPartitionDown, 0, "t"));
   FaultTargets targets;
-  targets.mq = &log;
+  targets.mq_cluster = &cluster;
 
   EXPECT_EQ(plan.ApplyUpTo(5 * kMillisecond, targets), 0);
-  EXPECT_TRUE(log.PartitionUp("t", 0).value());
+  EXPECT_TRUE(cluster.NodeUp(0).value());
   EXPECT_EQ(plan.NextAt(), 10 * kMillisecond);
 
+  // On a one-node cluster the preferred leader is the only replica, so the
+  // partition fault is an outage.
   EXPECT_EQ(plan.ApplyUpTo(10 * kMillisecond, targets), 1);
-  EXPECT_FALSE(log.PartitionUp("t", 0).value());
+  EXPECT_FALSE(cluster.NodeUp(0).value());
+  EXPECT_EQ(cluster.LeaderOf("t", 0).value(), -1);
   EXPECT_EQ(plan.ApplyUpTo(10 * kMillisecond, targets), 0);  // fires once
 
   EXPECT_EQ(plan.ApplyUpTo(25 * kMillisecond, targets), 1);
-  EXPECT_TRUE(log.PartitionUp("t", 0).value());
+  EXPECT_TRUE(cluster.NodeUp(0).value());
+  EXPECT_EQ(cluster.LeaderOf("t", 0).value(), 0);
   EXPECT_EQ(plan.applied(), 2u);
   EXPECT_EQ(plan.NextAt(), -1);
 }
@@ -362,8 +368,11 @@ TEST(FaultPlanTest, ClusterNodeKillReviveRoundTrips) {
 TEST(FaultPlanTest, RandomPlansAreSeedDeterministicAndPaired) {
   dfs::Cluster cluster(3, {});
   SimClock clock;
-  mq::MessageLog log(clock);
-  ASSERT_TRUE(log.CreateTopic("frames", 2).ok());
+  mq::BrokerClusterConfig config;
+  config.nodes = 1;
+  config.replication_factor = 1;
+  mq::BrokerCluster broker(clock, config);
+  ASSERT_TRUE(broker.CreateTopic("frames", 2).ok());
   fog::FogConfig fog_config;
   fog_config.num_edges = 4;
   fog_config.edges_per_fog = 2;
@@ -371,7 +380,7 @@ TEST(FaultPlanTest, RandomPlansAreSeedDeterministicAndPaired) {
   fog::FogTopology topo(fog_config);
   FaultTargets targets;
   targets.dfs = &cluster;
-  targets.mq = &log;
+  targets.mq_cluster = &broker;
   targets.fog = &topo;
   const TimeNs horizon = kSecond;
 

@@ -194,7 +194,7 @@ TEST(ClusterSinkTest, IdenticalEventsKeepDistinctPendingRequests) {
   // consumed only one.
   const auto probe = cluster.Prepare(1, "readings", a.key, a.body);
   ASSERT_TRUE(probe.ok());
-  EXPECT_EQ(probe->sequence, 2);
+  EXPECT_EQ(probe->first_sequence, 2);
 
   // Recovered: the batch retry delivers both events exactly once, each
   // under its own pinned sequence.

@@ -173,7 +173,7 @@ TEST(BrokerClusterTest, PreparedRequestRetriesAreDeduplicated) {
 
   const auto request = cluster.Prepare(producer, "t", "k", "v");
   ASSERT_TRUE(request.ok());
-  EXPECT_EQ(request->sequence, 0);
+  EXPECT_EQ(request->first_sequence, 0);
   const auto first = cluster.Produce(*request);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->duplicate);
@@ -190,7 +190,7 @@ TEST(BrokerClusterTest, PreparedRequestRetriesAreDeduplicated) {
   const auto next = cluster.Prepare(producer, "t", "k", "v2");
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->partition, request->partition);
-  EXPECT_EQ(next->sequence, 1);
+  EXPECT_EQ(next->first_sequence, 1);
   EXPECT_EQ(cluster.Prepare(99, "t", "k", "v").status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -236,7 +236,7 @@ TEST(BrokerClusterTest, FailedLowSequenceRetryAfterLaterAppendIsNotDropped) {
   ASSERT_TRUE(cluster.ReviveNode(view.replicas[2]).ok());
   const auto late = cluster.Prepare(producer, "t", "k", "late");
   ASSERT_TRUE(late.ok());
-  EXPECT_GT(late->sequence, early->sequence);
+  EXPECT_GT(late->first_sequence, early->first_sequence);
   ASSERT_TRUE(cluster.Produce(*late).ok());
 
   // The retried lower sequence is an unfilled gap — fresh, and acked with
@@ -280,14 +280,10 @@ TEST(BrokerClusterTest, SequenceBelowTrackedWindowIsRejectedNotDropped) {
 
 TEST(SequenceTableTest, TracksGapsExactlyAndForgetsOnlyAtTheWindowBound) {
   SequenceTable table;
-  Record rec;
-  rec.producer_id = 7;
   // Sequence 0 is never appended; 1..kMaxTracked land around the gap.
   for (std::int64_t seq = 1; seq <= std::int64_t(SequenceTable::kMaxTracked);
        ++seq) {
-    rec.sequence = seq;
-    rec.offset = seq - 1;
-    table.Observe(rec);
+    table.Observe(7, seq, /*offset=*/seq - 1);
   }
   // Within the window the gap stays retryable and appends stay duplicates.
   EXPECT_EQ(table.Check(7, 0).verdict, SequenceTable::Verdict::kFresh);
@@ -299,12 +295,11 @@ TEST(SequenceTableTest, TracksGapsExactlyAndForgetsOnlyAtTheWindowBound) {
             std::int64_t(SequenceTable::kMaxTracked) - 1);
   // One more append overflows the window: the abandoned gap's status is
   // forgotten and its retry is rejected explicitly, never falsely deduped.
-  rec.sequence = std::int64_t(SequenceTable::kMaxTracked) + 1;
-  rec.offset = std::int64_t(SequenceTable::kMaxTracked);
-  table.Observe(rec);
+  const std::int64_t overflow = std::int64_t(SequenceTable::kMaxTracked) + 1;
+  table.Observe(7, overflow, /*offset=*/overflow - 1);
   EXPECT_EQ(table.Check(7, 0).verdict, SequenceTable::Verdict::kTooOld);
   EXPECT_EQ(table.Check(7, 1).verdict, SequenceTable::Verdict::kDuplicate);
-  EXPECT_EQ(table.Check(7, rec.sequence + 1).verdict,
+  EXPECT_EQ(table.Check(7, overflow + 1).verdict,
             SequenceTable::Verdict::kFresh);
 }
 
@@ -625,20 +620,15 @@ TEST(SequenceTableTest, GapSurvivesAtExactlyTheWindowBound) {
   // kMaxTracked sparse entries in the window — the bound itself must not
   // evict (off-by-one here silently shrinks the retry window).
   SequenceTable table;
-  Record rec;
-  rec.producer_id = 9;
   for (std::int64_t seq = 1; seq <= std::int64_t(SequenceTable::kMaxTracked);
        ++seq) {
-    rec.sequence = seq;
-    rec.offset = seq - 1;
-    table.Observe(rec);
+    table.Observe(9, seq, /*offset=*/seq - 1);
   }
   EXPECT_EQ(table.Check(9, 0).verdict, SequenceTable::Verdict::kFresh);
   EXPECT_EQ(table.Check(9, 1).verdict, SequenceTable::Verdict::kDuplicate);
   // One more append overflows: the gap's status falls off the window edge.
-  rec.sequence = std::int64_t(SequenceTable::kMaxTracked) + 1;
-  rec.offset = std::int64_t(SequenceTable::kMaxTracked);
-  table.Observe(rec);
+  const std::int64_t overflow = std::int64_t(SequenceTable::kMaxTracked) + 1;
+  table.Observe(9, overflow, /*offset=*/overflow - 1);
   EXPECT_EQ(table.Check(9, 0).verdict, SequenceTable::Verdict::kTooOld);
   // Batched ranges touching the forgotten region are kTooOld as well —
   // never a partial verdict that could half-append.

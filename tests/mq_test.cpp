@@ -1,19 +1,28 @@
-// Tests for the partitioned message log: produce/fetch semantics, key
-// partitioning, retention, and consumer-group rebalancing.
+// Tests for the broker as a single node (`BrokerCluster` with one node and
+// replication factor 1): produce/fetch semantics, key partitioning,
+// retention, consumer-group rebalancing, and node-crash round trips — plus
+// the `PartitionLog` fetch boundary contract underneath it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
-#include "mq/message_log.h"
+#include "mq/broker_cluster.h"
 
 namespace metro::mq {
 namespace {
 
-TEST(MessageLogTest, CreateTopicValidation) {
+BrokerClusterConfig SingleNode() {
+  BrokerClusterConfig config;
+  config.nodes = 1;
+  config.replication_factor = 1;
+  return config;
+}
+
+TEST(SingleBrokerTest, CreateTopicValidation) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   EXPECT_TRUE(log.CreateTopic("t", 3).ok());
   EXPECT_EQ(log.CreateTopic("t", 3).code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(log.CreateTopic("bad", 0).code(), StatusCode::kInvalidArgument);
@@ -22,9 +31,9 @@ TEST(MessageLogTest, CreateTopicValidation) {
   EXPECT_EQ(log.NumPartitions("t").value(), 3);
 }
 
-TEST(MessageLogTest, ProduceFetchRoundTrip) {
+TEST(SingleBrokerTest, ProduceFetchRoundTrip) {
   SimClock clock(1000);
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 1).ok());
   const auto ack = log.Produce("t", "k", "v");
   ASSERT_TRUE(ack.ok());
@@ -38,9 +47,9 @@ TEST(MessageLogTest, ProduceFetchRoundTrip) {
   EXPECT_EQ((*records)[0].timestamp, 1000);
 }
 
-TEST(MessageLogTest, OffsetsMonotonic) {
+TEST(SingleBrokerTest, OffsetsMonotonic) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 1).ok());
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(log.ProduceTo("t", 0, "", std::to_string(i))->offset, i);
@@ -51,18 +60,18 @@ TEST(MessageLogTest, OffsetsMonotonic) {
   EXPECT_EQ(info->end_offset, 5);
 }
 
-TEST(MessageLogTest, SameKeySamePartition) {
+TEST(SingleBrokerTest, SameKeySamePartition) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 8).ok());
   const int p1 = log.Produce("t", "camera-42", "a")->partition;
   const int p2 = log.Produce("t", "camera-42", "b")->partition;
   EXPECT_EQ(p1, p2);
 }
 
-TEST(MessageLogTest, EmptyKeyRoundRobins) {
+TEST(SingleBrokerTest, EmptyKeyRoundRobins) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 4).ok());
   std::set<int> partitions;
   for (int i = 0; i < 4; ++i) {
@@ -71,9 +80,9 @@ TEST(MessageLogTest, EmptyKeyRoundRobins) {
   EXPECT_EQ(partitions.size(), 4u);
 }
 
-TEST(MessageLogTest, FetchBeyondEndEmptyOrError) {
+TEST(SingleBrokerTest, FetchBeyondEndEmptyOrError) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 1).ok());
   ASSERT_TRUE(log.ProduceTo("t", 0, "", "v").ok());
   // At end: empty (a consumer polling an idle partition).
@@ -84,18 +93,20 @@ TEST(MessageLogTest, FetchBeyondEndEmptyOrError) {
   EXPECT_EQ(log.Fetch("t", 0, 5, 10).status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(MessageLogTest, FetchRespectsMaxRecords) {
+TEST(SingleBrokerTest, FetchRespectsMaxRecords) {
+  // Every record is its own one-record batch, so these reads also pin that
+  // the materializing Fetch crosses batch boundaries.
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 1).ok());
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(log.ProduceTo("t", 0, "", "v").ok());
   EXPECT_EQ(log.Fetch("t", 0, 0, 3)->size(), 3u);
   EXPECT_EQ(log.Fetch("t", 0, 7, 100)->size(), 3u);
 }
 
-TEST(MessageLogTest, RetentionDropsOldRecords) {
+TEST(SingleBrokerTest, RetentionDropsOldRecords) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 1).ok());
   ASSERT_TRUE(log.ProduceTo("t", 0, "", "old").ok());
   clock.Advance(10 * kSecond);
@@ -112,7 +123,7 @@ TEST(MessageLogTest, RetentionDropsOldRecords) {
 
 TEST(ConsumerGroupTest, SingleMemberGetsAllPartitions) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 4).ok());
   const auto assignment = log.JoinGroup("g", "t", "m1");
   ASSERT_TRUE(assignment.ok());
@@ -121,7 +132,7 @@ TEST(ConsumerGroupTest, SingleMemberGetsAllPartitions) {
 
 TEST(ConsumerGroupTest, RebalanceOnJoinAndLeave) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 4).ok());
   ASSERT_TRUE(log.JoinGroup("g", "t", "m1").ok());
   ASSERT_TRUE(log.JoinGroup("g", "t", "m2").ok());
@@ -140,7 +151,7 @@ TEST(ConsumerGroupTest, RebalanceOnJoinAndLeave) {
 
 TEST(ConsumerGroupTest, GroupBoundToOneTopic) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t1", 1).ok());
   ASSERT_TRUE(log.CreateTopic("t2", 1).ok());
   ASSERT_TRUE(log.JoinGroup("g", "t1", "m").ok());
@@ -150,7 +161,7 @@ TEST(ConsumerGroupTest, GroupBoundToOneTopic) {
 
 TEST(ConsumerGroupTest, CommitAndFetchCommitted) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 2).ok());
   for (int i = 0; i < 17; ++i) {
     ASSERT_TRUE(log.ProduceTo("t", 0, "", "v").ok());
@@ -164,7 +175,7 @@ TEST(ConsumerGroupTest, CommitAndFetchCommitted) {
 
 TEST(ConsumerGroupTest, CommitOffsetValidation) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 2).ok());
   ASSERT_TRUE(log.ProduceTo("t", 0, "", "v").ok());
   ASSERT_TRUE(log.JoinGroup("g", "t", "m").ok());
@@ -185,10 +196,11 @@ TEST(ConsumerGroupTest, CommitOffsetValidation) {
 TEST(ConsumerGroupTest, RetentionOvertakesCommittedOffset) {
   // A slow consumer whose committed offset fell below the retention floor:
   // the fetch reports kOutOfRange and the documented recovery (see
-  // MessageLog::Fetch) is to reset to the partition's begin offset, skipping
-  // the truncated records but never rereading or missing a surviving one.
+  // BrokerCluster::FetchBatch) is to reset to the partition's begin offset,
+  // skipping the truncated records but never rereading or missing a
+  // surviving one.
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 1).ok());
   ASSERT_TRUE(log.JoinGroup("g", "t", "m").ok());
   for (int i = 0; i < 4; ++i) {
@@ -220,7 +232,7 @@ TEST(ConsumerGroupTest, RetentionOvertakesCommittedOffset) {
 TEST(ConsumerGroupTest, EndToEndConsumeLoop) {
   // A consumer using committed offsets sees every record exactly once.
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 2).ok());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(log.Produce("t", "k" + std::to_string(i), "v").ok());
@@ -247,7 +259,7 @@ TEST(ConsumerGroupTest, MemberDeathMidPollRedeliversUncommitted) {
   // surviving member inherits the partition at the old committed offset and
   // sees the same records again — at-least-once delivery, nothing lost.
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 1).ok());
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(log.ProduceTo("t", 0, "k", "v" + std::to_string(i)).ok());
@@ -290,41 +302,44 @@ TEST(ConsumerGroupTest, MemberDeathMidPollRedeliversUncommitted) {
   EXPECT_EQ(rest->empty(), redelivered->back().offset == 7);
 }
 
-TEST(MessageLogTest, PartitionFaultInjectionRoundTrip) {
+TEST(SingleBrokerTest, NodeCrashRoundTrip) {
+  // With one node and rf=1, node 0 is every partition's whole ISR: a crash
+  // is an outage, not a failover, and revival re-elects it from the final
+  // ISR with its stored records intact.
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 2).ok());
   ASSERT_TRUE(log.ProduceTo("t", 0, "k", "before").ok());
+  ASSERT_TRUE(log.Probe().ok());
 
-  ASSERT_TRUE(log.SetPartitionUp("t", 0, false).ok());
-  EXPECT_FALSE(log.PartitionUp("t", 0).value());
+  ASSERT_TRUE(log.KillNode(0).ok());
+  EXPECT_FALSE(log.NodeUp(0).value());
   EXPECT_EQ(log.ProduceTo("t", 0, "k", "x").status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(log.Produce("t", "", "v").status().code(),
             StatusCode::kUnavailable);
   EXPECT_EQ(log.Fetch("t", 0, 0, 10).status().code(),
             StatusCode::kUnavailable);
-  // The other partition still serves.
-  EXPECT_TRUE(log.ProduceTo("t", 1, "k", "y").ok());
+  EXPECT_EQ(log.Probe().code(), StatusCode::kUnavailable);
 
-  // Keyless produce skips the dead partition inside one critical section —
-  // no retry loop needed — and counts every skip it made.
-  const auto skipped_to = log.Produce("t", "", "v");
-  ASSERT_TRUE(skipped_to.ok());
-  EXPECT_EQ(skipped_to->partition, 1);
-  EXPECT_GE(log.metrics().GetCounter("mq.roundrobin_skips").value(), 1);
-
-  ASSERT_TRUE(log.SetPartitionUp("t", 0, true).ok());
+  ASSERT_TRUE(log.ReviveNode(0).ok());
+  EXPECT_TRUE(log.Probe().ok());
+  EXPECT_EQ(log.LeaderOf("t", 0).value(), 0);
   const auto records = log.Fetch("t", 0, 0, 10);
   ASSERT_TRUE(records.ok());  // stored records survived the outage
-  ASSERT_FALSE(records->empty());
+  ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ((*records)[0].value, "before");
-  EXPECT_EQ(log.SetPartitionUp("t", 9, true).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(log.SetPartitionUp("nope", 0, true).code(), StatusCode::kNotFound);
+  // ...and the partition takes writes again, after the survivors.
+  const auto after = log.ProduceTo("t", 0, "k", "after");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->offset, 1);
+  EXPECT_EQ(log.KillNode(9).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(log.ReviveNode(-1).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(MessageLogTest, UnknownTopicErrors) {
+TEST(SingleBrokerTest, UnknownTopicErrors) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   EXPECT_EQ(log.Produce("nope", "k", "v").status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(log.Fetch("nope", 0, 0, 1).status().code(), StatusCode::kNotFound);
@@ -332,9 +347,9 @@ TEST(MessageLogTest, UnknownTopicErrors) {
             StatusCode::kNotFound);
 }
 
-TEST(MessageLogTest, PartitionOutOfRange) {
+TEST(SingleBrokerTest, PartitionOutOfRange) {
   SimClock clock;
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 2).ok());
   EXPECT_EQ(log.ProduceTo("t", 5, "", "v").status().code(),
             StatusCode::kInvalidArgument);
@@ -348,12 +363,23 @@ TEST(MessageLogTest, PartitionOutOfRange) {
 // inside [begin, end] a fetch is OK (possibly empty); only offsets beyond
 // the end or below the retention floor are kOutOfRange.
 
+/// A sealed one-record batch placed at the log's end, as the broker builds
+/// one for a single-record produce.
+std::shared_ptr<RecordBatch> OneRecord(const PartitionLog& log,
+                                       const std::string& value,
+                                       TimeNs timestamp = 0) {
+  RecordBatchBuilder builder;
+  builder.Add("", value);
+  std::shared_ptr<RecordBatch> batch = builder.Build();
+  batch->Seal(log.end_offset(), timestamp, /*producer_id=*/0,
+              /*first_sequence=*/-1);
+  return batch;
+}
+
 TEST(PartitionLogTest, FetchAtReadableLimitIsEmptyOkNotError) {
   PartitionLog log;
   for (int i = 0; i < 5; ++i) {
-    Record rec;
-    rec.value = std::to_string(i);
-    log.Append(std::move(rec));
+    EXPECT_EQ(log.AppendBatch(OneRecord(log, std::to_string(i))), i);
   }
   // offset == limit (the high-water mark for replicated reads): caught up,
   // not out of range.
@@ -361,9 +387,6 @@ TEST(PartitionLogTest, FetchAtReadableLimitIsEmptyOkNotError) {
   ASSERT_TRUE(at_hwm.ok());
   EXPECT_TRUE(at_hwm->empty());
   EXPECT_EQ(at_hwm->next_offset(), 3);
-  const auto mat = log.Fetch(3, 10, /*limit=*/3);
-  ASSERT_TRUE(mat.ok());
-  EXPECT_TRUE(mat->empty());
 }
 
 TEST(PartitionLogTest, FetchAtEndWithLowerLimitIsEmptyOk) {
@@ -372,9 +395,7 @@ TEST(PartitionLogTest, FetchAtEndWithLowerLimitIsEmptyOk) {
   // exists — it is just not readable yet.
   PartitionLog log;
   for (int i = 0; i < 4; ++i) {
-    Record rec;
-    rec.value = std::to_string(i);
-    log.Append(std::move(rec));
+    log.AppendBatch(OneRecord(log, std::to_string(i)));
   }
   const auto at_end = log.FetchBatch(log.end_offset(), 10, /*limit=*/2);
   ASSERT_TRUE(at_end.ok());
@@ -383,41 +404,40 @@ TEST(PartitionLogTest, FetchAtEndWithLowerLimitIsEmptyOk) {
   // One past the end IS out of range — the offset does not exist.
   EXPECT_EQ(log.FetchBatch(log.end_offset() + 1, 10, 2).status().code(),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(log.Fetch(log.end_offset() + 1, 10, 2).status().code(),
-            StatusCode::kOutOfRange);
 }
 
 TEST(PartitionLogTest, FetchAtRetentionFloorOkBelowItOutOfRange) {
   PartitionLog log;
   for (int i = 0; i < 6; ++i) {
-    Record rec;
-    rec.timestamp = i < 3 ? 10 : 100;
-    rec.value = std::to_string(i);
-    log.Append(std::move(rec));
+    log.AppendBatch(OneRecord(log, std::to_string(i), i < 3 ? 10 : 100));
   }
   EXPECT_EQ(log.EnforceRetention(/*cutoff=*/50), 3);
   EXPECT_EQ(log.begin_offset(), 3);
-  // Exactly at the floor: readable (one single-record segment per view
-  // call; the materializing Fetch crosses segments).
+  // Exactly at the floor: readable, one single-record segment per view
+  // call; walking `next_offset()` reads every retained record.
   const auto at_floor = log.FetchBatch(3, 10, log.end_offset());
   ASSERT_TRUE(at_floor.ok());
   ASSERT_EQ(at_floor->size(), 1u);
   EXPECT_EQ((*at_floor)[0].value(), "3");
-  const auto floor_all = log.Fetch(3, 10, log.end_offset());
-  ASSERT_TRUE(floor_all.ok());
-  EXPECT_EQ(floor_all->size(), 3u);
+  std::size_t retained = 0;
+  for (std::int64_t off = 3; off < log.end_offset();) {
+    const auto view = log.FetchBatch(off, 10, log.end_offset());
+    ASSERT_TRUE(view.ok());
+    ASSERT_FALSE(view->empty());
+    retained += view->size();
+    off = view->next_offset();
+  }
+  EXPECT_EQ(retained, 3u);
   // Below the floor: retired offsets, explicit error.
   EXPECT_EQ(log.FetchBatch(2, 10, log.end_offset()).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(log.Fetch(2, 10, log.end_offset()).status().code(),
             StatusCode::kOutOfRange);
 }
 
 // ------------------------------------------------------- Batched produce
 
-TEST(MessageLogTest, BatchedProduceFetchRoundTrip) {
+TEST(SingleBrokerTest, BatchedProduceFetchRoundTrip) {
   SimClock clock(5000);
-  MessageLog log(clock);
+  BrokerCluster log(clock, SingleNode());
   ASSERT_TRUE(log.CreateTopic("t", 1).ok());
   RecordBatchBuilder builder;
   Headers headers;
@@ -425,11 +445,13 @@ TEST(MessageLogTest, BatchedProduceFetchRoundTrip) {
   builder.Add("k0", "v0", headers);
   builder.Add("k1", "v1");
   builder.Add("k2", "v2");
-  const auto ack = log.ProduceBatchTo("t", 0, builder);
+  const auto request = log.PrepareBatch(0, "t", 0, builder);
+  ASSERT_TRUE(request.ok());
+  EXPECT_TRUE(builder.empty());  // consumed
+  const auto ack = log.Produce(*request);
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(ack->offset, 0);
   EXPECT_EQ(ack->count, 3);
-  EXPECT_TRUE(builder.empty());  // consumed
 
   const auto view = log.FetchBatch("t", 0, 0, 10);
   ASSERT_TRUE(view.ok());
@@ -449,7 +471,7 @@ TEST(MessageLogTest, BatchedProduceFetchRoundTrip) {
   EXPECT_EQ((*records)[0].headers.at("source"), "cam-7");
 
   RecordBatchBuilder empty;
-  EXPECT_EQ(log.ProduceBatchTo("t", 0, empty).status().code(),
+  EXPECT_EQ(log.PrepareBatch(0, "t", 0, empty).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -476,10 +498,6 @@ TEST(PartitionLogTest, FetchBatchStopsAtSegmentBoundary) {
   ASSERT_TRUE(tail.ok());
   ASSERT_EQ(tail->size(), 1u);
   EXPECT_EQ((*tail)[0].value(), "3");
-  // The materializing Fetch crosses the boundary in one call.
-  const auto all = log.Fetch(0, 10, log.end_offset());
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 3u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include <map>
 
 #include "dataflow/dataset.h"
-#include "mq/message_log.h"
+#include "mq/broker_cluster.h"
 #include "sched/resource_manager.h"
 #include "store/wide_column.h"
 #include "util/rng.h"
@@ -149,7 +149,10 @@ class GroupCoverage : public ::testing::TestWithParam<int> {};
 TEST_P(GroupCoverage, AssignmentPartitionsExactlyOnce) {
   const int members = GetParam();
   SimClock clock;
-  mq::MessageLog log(clock);
+  mq::BrokerClusterConfig config;
+  config.nodes = 1;
+  config.replication_factor = 1;
+  mq::BrokerCluster log(clock, config);
   const int partitions = 7;
   ASSERT_TRUE(log.CreateTopic("t", partitions).ok());
   for (int m = 0; m < members; ++m) {

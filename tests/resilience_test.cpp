@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dfs/dfs.h"
-#include "mq/message_log.h"
+#include "mq/broker_cluster.h"
 #include "net/simulator.h"
 #include "util/rng.h"
 
@@ -100,7 +100,10 @@ TEST(DfsBalanceTest, NoopWhenBalanced) {
 
 TEST(MqLagTest, TracksBacklogAcrossPartitions) {
   SimClock clock;
-  mq::MessageLog log(clock);
+  mq::BrokerClusterConfig config;
+  config.nodes = 1;
+  config.replication_factor = 1;
+  mq::BrokerCluster log(clock, config);
   ASSERT_TRUE(log.CreateTopic("t", 2).ok());
   ASSERT_TRUE(log.JoinGroup("g", "t", "m").ok());
   EXPECT_EQ(log.Lag("g").value(), 0);
