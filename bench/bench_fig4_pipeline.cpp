@@ -76,11 +76,11 @@ RunStats RunPipeline(int records_per_topic) {
   const auto start = WallClock::Instance().Now();
   for (int i = 0; i < records_per_topic; ++i) {
     const TimeNs now = WallClock::Instance().Now();
-    (void)pipeline.log().Produce(
+    (void)pipeline.Produce(
         "tweets", "",
         core::EncodeDocument(
             datagen::CityDataGenerator::ToDocument(tweet_gen.Generate(now))));
-    (void)pipeline.log().Produce(
+    (void)pipeline.Produce(
         "waze", "",
         core::EncodeDocument(
             datagen::CityDataGenerator::ToDocument(waze_gen.Generate(now))));
@@ -89,8 +89,8 @@ RunStats RunPipeline(int records_per_topic) {
     video_doc["camera"] = std::int64_t(rng.UniformU64(200));
     video_doc["cls"] = std::int64_t(rng.UniformU64(8));
     video_doc["score"] = rng.UniformDouble();
-    (void)pipeline.log().Produce("video-annotations", "",
-                                 core::EncodeDocument(video_doc));
+    (void)pipeline.Produce("video-annotations", "",
+                           core::EncodeDocument(video_doc));
   }
   pipeline.Drain();
   RunStats stats;

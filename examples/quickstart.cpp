@@ -48,7 +48,7 @@ int main() {
   datagen::WazeGenerator waze(7);
   for (int i = 0; i < 2000; ++i) {
     const auto report = waze.Generate(WallClock::Instance().Now());
-    (void)infra.pipeline().log().Produce(
+    (void)infra.pipeline().Produce(
         "waze", std::to_string(report.id),
         core::EncodeDocument(datagen::CityDataGenerator::ToDocument(report)));
   }

@@ -5,6 +5,10 @@
 #include <cstring>
 #include <limits>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "util/thread_pool.h"
 
 namespace metro::tensor {
@@ -258,6 +262,59 @@ ConvDims MakeConvDims(const Shape& in_shape, const Tensor& weights, int stride,
   d.stride = stride;
   d.pad = pad;
   return d;
+}
+
+struct PoolDims {
+  int n, h, w, c, k, stride, oh, ow;
+};
+
+// MaxPool2dForwardInto's loops. Channels are innermost (NHWC), so one load
+// per window tap covers four adjacent channels. `_mm_max_ps(v, best)`
+// returns `v > best ? v : best` lane by lane -- the eager kernel's
+// `if (v > best) best = v` exactly, so a NaN tap never replaces `best` and
+// a +0/-0 tie keeps the earlier tap; taps fold in the eager (ky, kx) order.
+// kK > 0 fixes the window size at compile time, so the 2x2 pool every zoo
+// model uses unrolls into four loads; kK == 0 reads d.k.
+template <int kK>
+METRO_NOALLOC
+void MaxPoolWindows(const float* in_d, const PoolDims& d, float* out_d) {
+  const int k = kK > 0 ? kK : d.k;
+  const int c = d.c;
+  const std::size_t row_stride = std::size_t(d.w) * c;
+  for (int b = 0; b < d.n; ++b) {
+    for (int oy = 0; oy < d.oh; ++oy) {
+      for (int ox = 0; ox < d.ow; ++ox) {
+        const float* win =
+            &in_d[((std::size_t(b) * d.h + std::size_t(oy) * d.stride) * d.w +
+                   std::size_t(ox) * d.stride) * c];
+        float* o = &out_d[((std::size_t(b) * d.oh + oy) * d.ow + ox) * c];
+        int ch = 0;
+#if defined(__SSE2__)
+        for (; ch + 4 <= c; ch += 4) {
+          __m128 best = _mm_set1_ps(-std::numeric_limits<float>::infinity());
+          for (int ky = 0; ky < k; ++ky) {
+            const float* tap = win + ky * row_stride + ch;
+            for (int kx = 0; kx < k; ++kx) {
+              best = _mm_max_ps(_mm_loadu_ps(tap + std::size_t(kx) * c), best);
+            }
+          }
+          _mm_storeu_ps(o + ch, best);
+        }
+#endif
+        for (; ch < c; ++ch) {
+          float best = -std::numeric_limits<float>::infinity();
+          for (int ky = 0; ky < k; ++ky) {
+            const float* tap = win + ky * row_stride + ch;
+            for (int kx = 0; kx < k; ++kx) {
+              const float v = tap[std::size_t(kx) * c];
+              if (v > best) best = v;
+            }
+          }
+          o[ch] = best;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -590,26 +647,11 @@ void MaxPool2dForwardInto(const TensorView& input, int k, int stride,
   const int ow = (w - k) / stride + 1;
   assert(out.dim(0) == n && out.dim(1) == oh && out.dim(2) == ow &&
          out.dim(3) == c);
-
-  const float* in_d = input.data().data();
-  float* out_d = out.data().data();
-  for (int b = 0; b < n; ++b) {
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        for (int ch = 0; ch < c; ++ch) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (int ky = 0; ky < k; ++ky) {
-            const int iy = oy * stride + ky;
-            for (int kx = 0; kx < k; ++kx) {
-              const int ix = ox * stride + kx;
-              const float v = in_d[((std::size_t(b) * h + iy) * w + ix) * c + ch];
-              if (v > best) best = v;
-            }
-          }
-          out_d[((std::size_t(b) * oh + oy) * ow + ox) * c + ch] = best;
-        }
-      }
-    }
+  const PoolDims d{n, h, w, c, k, stride, oh, ow};
+  if (k == 2) {
+    MaxPoolWindows<2>(input.data().data(), d, out.data().data());
+  } else {
+    MaxPoolWindows<0>(input.data().data(), d, out.data().data());
   }
 }
 
@@ -681,12 +723,28 @@ void ReluInto(const TensorView& x, const TensorView& out) {
   for (std::size_t i = 0; i < xd.size(); ++i) od[i] = std::max(xd[i], 0.0f);
 }
 
+// Branch-free: `v * alpha` in every lane, kept only where `v < 0`. The
+// mask select leaves -0 (not < 0) and NaN (compares false) untouched, as
+// the eager `if (v < 0) v *= alpha` does. A plain scalar loop here compiles
+// to a compare-and-branch that mispredicts on about half of the elements.
 METRO_NOALLOC
 void LeakyReluInto(const TensorView& x, const TensorView& out, float alpha) {
   assert(x.size() == out.size());
-  const std::span<float> xd = x.data();
-  const std::span<float> od = out.data();
-  for (std::size_t i = 0; i < xd.size(); ++i) {
+  const float* xd = x.data().data();
+  float* od = out.data().data();
+  const std::size_t size = x.size();
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  const __m128 a = _mm_set1_ps(alpha);
+  const __m128 zero = _mm_setzero_ps();
+  for (; i + 4 <= size; i += 4) {
+    const __m128 v = _mm_loadu_ps(xd + i);
+    const __m128 neg = _mm_cmplt_ps(v, zero);
+    _mm_storeu_ps(od + i, _mm_or_ps(_mm_and_ps(neg, _mm_mul_ps(v, a)),
+                                    _mm_andnot_ps(neg, v)));
+  }
+#endif
+  for (; i < size; ++i) {
     const float v = xd[i];
     od[i] = v < 0.0f ? v * alpha : v;
   }

@@ -2,18 +2,22 @@
 //
 // The eager path `Forward(x, /*training=*/false)` is the oracle: every
 // planned session / *Into kernel below must reproduce it bit-for-bit
-// (EXPECT_EQ on floats, not near). Also covers the arena lifecycle —
+// (compared with memcmp, not near). Also covers the arena lifecycle —
 // steady-state runs must not grow the workspace — and transparent
 // replanning across batch sizes.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "apps/vehicle_app.h"
 #include "datagen/video.h"
 #include "nn/inference.h"
 #include "nn/sequential.h"
+#include "tensor/ops.h"
 #include "tensor/workspace.h"
 #include "util/thread_pool.h"
 #include "zoo/behavior.h"
@@ -31,19 +35,21 @@ using nn::Tensor;
 using tensor::TensorView;
 using tensor::Workspace;
 
-void ExpectBitExact(const Tensor& expected, const Tensor& actual) {
-  ASSERT_EQ(expected.shape(), actual.shape());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i], actual[i]) << "float mismatch at index " << i;
-  }
-}
-
+// Compares bytes, so -0 against +0 and a changed NaN payload are
+// mismatches too (float equality would pass the first and fail any NaN).
 void ExpectBitExact(const Tensor& expected, const TensorView& actual) {
   ASSERT_EQ(expected.shape(), actual.shape());
   const auto d = actual.data();
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i], d[i]) << "float mismatch at index " << i;
+    const float e = expected[i];
+    ASSERT_EQ(std::memcmp(&e, &d[i], sizeof e), 0)
+        << "bit mismatch at index " << i << ": eager " << e << ", planned "
+        << d[i];
   }
+}
+
+void ExpectBitExact(const Tensor& expected, const Tensor& actual) {
+  ExpectBitExact(expected, TensorView::OfConst(actual));
 }
 
 Tensor RandomInput(const nn::Shape& shape, Rng& rng) {
@@ -52,6 +58,107 @@ Tensor RandomInput(const nn::Shape& shape, Rng& rng) {
     x[i] = rng.UniformFloat(-1.0f, 1.0f);
   }
   return x;
+}
+
+// ------------------------------------------------- SIMD kernels vs. eager
+
+// Each pass draws a fresh seeded case (Dali's EXPERIMENT_REPEAT idiom).
+constexpr int kExperimentRepeats = 200;
+#define EXPERIMENT_REPEAT \
+  for (int repetition = 0; repetition < kExperimentRepeats; ++repetition)
+
+float FromBits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+// A uniform value in [-2, 2) or, one time in three, a value the SIMD
+// selects and maxima must carry through exactly: signed zeros, NaNs with
+// payloads and either sign, infinities and denormals.
+float DrawSpecialOrUniform(Rng& rng) {
+  static const float kSpecials[] = {
+      0.0f,
+      -0.0f,
+      FromBits(0x7fc00000u),  // quiet NaN
+      FromBits(0x7fc0abcdu),  // quiet NaN, payload
+      FromBits(0xffc01234u),  // negative quiet NaN, payload
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      FromBits(0x00400000u),  // mid-range denormal
+      FromBits(0x80400000u),  // negative mid-range denormal
+      -std::numeric_limits<float>::min(),  // alpha * this is denormal
+  };
+  constexpr std::size_t kCount = sizeof(kSpecials) / sizeof(kSpecials[0]);
+  if (rng.UniformU64(3) == 0) return kSpecials[rng.UniformU64(kCount)];
+  return rng.UniformFloat(-2.0f, 2.0f);
+}
+
+Tensor SpecialInput(const nn::Shape& shape, Rng& rng) {
+  Tensor x(shape);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = DrawSpecialOrUniform(rng);
+  return x;
+}
+
+TEST(InferenceParityTest, LeakyReluIntoIsBitExactOnSpecialValues) {
+  Rng rng(1401);
+  EXPERIMENT_REPEAT {
+    // Odd dims make the element count odd, so the SIMD body always ends
+    // in a scalar tail.
+    const int n = 1;
+    const int h = 2 * int(rng.UniformInt(0, 4)) + 1;
+    const int w = 2 * int(rng.UniformInt(0, 4)) + 1;
+    const int c = 2 * int(rng.UniformInt(0, 8)) + 1;  // 1..17
+    const float alpha =
+        rng.Bernoulli(0.5) ? 0.1f : rng.UniformFloat(0.0f, 1.0f);
+    const Tensor x = SpecialInput({n, h, w, c}, rng);
+    ASSERT_NE(x.size() % 4, 0u);
+
+    const Tensor eager = tensor::LeakyReluForward(x, alpha);
+
+    Tensor out(x.shape());
+    tensor::LeakyReluInto(TensorView::OfConst(x), TensorView(out), alpha);
+    ExpectBitExact(eager, out);
+
+    // The plan's kInPlace step: `out` aliases `x`.
+    Tensor in_place = x;
+    TensorView view(in_place);
+    tensor::LeakyReluInto(view, view, alpha);
+    ExpectBitExact(eager, in_place);
+  }
+}
+
+TEST(InferenceParityTest, MaxPool2dForwardIntoIsBitExactOnSpecialValues) {
+  Rng rng(1402);
+  EXPERIMENT_REPEAT {
+    const int k = rng.Bernoulli(0.5) ? 3 : 2, stride = 2;
+    const int n = int(rng.UniformInt(1, 2));
+    const int h = int(rng.UniformInt(k, 9));
+    const int w = int(rng.UniformInt(k, 9));
+    const int c = int(rng.UniformInt(1, 17));
+    Tensor x = SpecialInput({n, h, w, c}, rng);
+    // A +0/-0 tie filling the first window of every channel: -0 then +0s
+    // on even channels, +0 then -0s on odd ones. The eager kernel keeps the
+    // first tap, so the output sign shows which operand a max returned.
+    for (int ch = 0; ch < c; ++ch) {
+      for (int ky = 0; ky < k; ++ky) {
+        for (int kx = 0; kx < k; ++kx) {
+          const bool first = ky == 0 && kx == 0;
+          const bool negative = (ch % 2 == 0) == first;
+          x[(std::size_t(ky) * w + kx) * c + ch] = negative ? -0.0f : 0.0f;
+        }
+      }
+    }
+
+    const Tensor eager = tensor::MaxPool2dForward(x, k, stride).output;
+
+    Tensor out(eager.shape());
+    tensor::MaxPool2dForwardInto(TensorView::OfConst(x), k, stride,
+                                 TensorView(out));
+    ExpectBitExact(eager, out);
+  }
 }
 
 // ------------------------------------------------------------ single layers
