@@ -127,11 +127,9 @@ Shape Conv2d::OutputShape(const Shape& input_shape) const {
 
 Tensor MaxPool2d::Forward(const Tensor& x, bool training) {
   if (!training) {
-    // Inference needs no argmax routing for backward — skip the bookkeeping.
-    Tensor out(OutputShape(x.shape()));
-    TensorView out_view(out);
-    tensor::MaxPool2dForwardInto(TensorView::OfConst(x), k_, stride_, out_view);
-    return out;
+    // The scalar kernel, not MaxPool2dForwardInto: the eager path is the
+    // oracle the planned one is checked against.
+    return tensor::MaxPool2dForward(x, k_, stride_).output;
   }
   cached_in_shape_ = x.shape();
   cached_ = tensor::MaxPool2dForward(x, k_, stride_);
@@ -294,15 +292,19 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   const auto b = beta_.value.data();
 
   if (!training) {
-    // Shares the folded scale/shift formulation with the planned path
-    // (BatchNormInferenceInto), keeping eager and planned bit-identical.
+    // The folded scale/shift of the planned path, so the two agree bit for
+    // bit, applied by a scalar loop of its own: the eager path is the
+    // oracle BatchNormInferenceInto is checked against.
     std::vector<float> scale(static_cast<std::size_t>(c_));
     std::vector<float> shift(static_cast<std::size_t>(c_));
     tensor::BatchNormFoldScaleShift(g, b, running_mean_.data(),
                                     running_var_.data(), eps_, scale, shift);
-    TensorView y_view(y);
-    tensor::BatchNormInferenceInto(TensorView::OfConst(x), scale, shift,
-                                   y_view);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (int ch = 0; ch < c_; ++ch) {
+        yd[r * c_ + ch] = xd[r * c_ + ch] * scale[std::size_t(ch)] +
+                          shift[std::size_t(ch)];
+      }
+    }
     return y;
   }
 

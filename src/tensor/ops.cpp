@@ -68,124 +68,293 @@ void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
   }
 }
 
-// Planned-path kernel: identical tap order (and therefore bit-identical
-// float results) to ConvRowRange, but each output pixel accumulates into a
-// stack block the compiler can keep in SIMD registers, and the channel loop
-// trip count is a template constant so it fully unrolls and SLP-vectorizes.
-// In ConvRowRange the output pointer may alias the input as far as the
-// compiler knows, so every tap is a load-modify-store through memory; here
-// the accumulator is provably local, taps become pure FMAs, and the pixel
-// is stored once. Bit-exactness with the eager kernel holds because each
-// output element still receives the same additions in the same (ky, kx, ic)
-// order — only the schedule around them changes.
+// Planned-path kernels. Each keeps the eager kernel's tap order, so every
+// output element receives the same additions in the same (ky, kx, ic)
+// order and the results are bit-identical; only the schedule around them
+// changes. The accumulators are provably local (in ConvRowRange the output
+// may alias the input as far as the compiler knows, so every tap is a
+// load-modify-store through memory), and each pixel is stored once.
 constexpr int kConvAccChannels = 128;
 
-template <int kCout>
-METRO_NOALLOC
-void ConvRowRangeFixed(const float* in_d, const float* w_d,
-                       const float* bias_d, const ConvDims& d, float* out_d,
-                       std::int64_t row_begin, std::int64_t row_end) {
-  assert(d.cout == kCout);
-  const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
-  const std::size_t w_tap_stride = std::size_t(d.cin) * kCout;
-  // Interior ox range where every kx tap lands in-bounds, so the border
-  // check can be hoisted out of ~all pixels. Skipped border taps contribute
-  // no additions, so splitting the range preserves the accumulation order.
-  const int ox_lo =
-      std::min(d.ow, (d.pad + d.stride - 1) / std::max(d.stride, 1));
-  const int ox_hi = std::max(
-      ox_lo, std::min(d.ow, (d.w - d.kw + d.pad) / std::max(d.stride, 1) + 1));
-  float acc[kCout];
-  float acc2[kCout];
+// What every output pixel of one (batch, output-y) row shares.
+struct ConvRow {
+  const ConvDims* d;
+  const float* in_img;  // the row's batch image
+  const float* w;
+  const float* bias;    // null: no bias
+  int iy0;              // input row of tap ky = 0
+  int ky_lo, ky_hi;     // the taps whose input row is in bounds
+  float* out;           // the output row
+};
 
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    const int b = int(r / d.oh);
-    const int oy = int(r % d.oh);
-    const float* in_img = &in_d[std::size_t(b) * d.h * in_row_stride];
-    float* out_row = &out_d[std::size_t(r) * d.ow * kCout];
-    // Valid ky range for this output row (iy in [0, h)).
-    int ky_lo = 0, ky_hi = d.kh;
-    while (ky_lo < ky_hi && oy * d.stride + ky_lo - d.pad < 0) ++ky_lo;
-    while (ky_hi > ky_lo && oy * d.stride + (ky_hi - 1) - d.pad >= d.h) {
-      --ky_hi;
+// GCC vector-extension types; the *U ones are the unaligned, may-alias
+// forms for loads and stores, as immintrin.h's __m256_u. F8 code is only
+// ever inlined into a target("avx") function (ConvRowRangeAvx): in a
+// function compiled for baseline x86-64, GCC lowers a 32-byte vector
+// through memory. No function takes or returns one by value.
+typedef float F4 __attribute__((vector_size(16)));
+typedef float F8 __attribute__((vector_size(32)));
+typedef float F4U __attribute__((vector_size(16), aligned(4), may_alias));
+typedef float F8U __attribute__((vector_size(32), aligned(4), may_alias));
+template <int kLanes> struct LaneVec {
+  using type = float;
+  using unaligned = float;
+};
+template <> struct LaneVec<4> {
+  using type = F4;
+  using unaligned = F4U;
+};
+template <> struct LaneVec<8> {
+  using type = F8;
+  using unaligned = F8U;
+};
+
+// How kCout channels sit in registers at kLanes lanes: kFull kLanes-wide
+// vectors, then (12 at 8 lanes) one 4-lane vector, then the last
+// kCout % 4 channels as scalars. A register block takes kP pixels, fewer
+// the more registers one pixel needs, so that the accumulators and one
+// pixel's weights fit the 16 vector registers.
+template <int kLanes, int kCout>
+struct ConvLayout {
+  static constexpr int kFull = kCout / kLanes;
+  static constexpr int kHalf = kLanes == 8 && kCout % 8 >= 4 ? 4 : 0;
+  static constexpr int kTail = kCout - kFull * kLanes - kHalf;
+  static constexpr int kTailAt = kCout - kTail;
+  static constexpr int kRegs = kFull + (kHalf > 0) + kTail;
+  static constexpr int kP = std::max(2, 7 - kRegs);
+};
+
+// Taps kx in [kx_lo, kx_hi) of kP output pixels from ox on, each held in
+// registers as ConvLayout lays them out. For each ky the (kx, ic) taps are
+// one contiguous run of floats in both the NHWC input and the HWIO
+// weights, at any stride, so each weight vector is loaded once per tap and
+// feeds kP broadcast multiply-adds. The multiply and the
+// add stay two instructions (no FMA), so every lane rounds as the eager
+// `acc += iv * w` does, in the eager (ky, kx, ic) order. kSkipZeros keeps
+// the eager `iv == 0` skip; without it, the taps must hold no +-0, since
+// adding `0 * w` would turn a -0 accumulator (a -0 bias) into +0 and
+// `0 * inf` into NaN.
+template <int kLanes, int kCout, int kP, bool kSkipZeros>
+[[gnu::always_inline]] inline void ConvTaps(const ConvRow& row, int ox,
+                                            int kx_lo, int kx_hi) {
+  using V = typename LaneVec<kLanes>::type;
+  using VU = typename LaneVec<kLanes>::unaligned;
+  using L = ConvLayout<kLanes, kCout>;
+  constexpr int kFull = L::kFull, kHalf = L::kHalf, kTail = L::kTail;
+  constexpr int kTailAt = L::kTailAt;
+  const ConvDims& d = *row.d;
+  V acc[kP][kFull > 0 ? kFull : 1];
+  F4 acc4[kP];
+  float acc1[kP][kTail > 0 ? kTail : 1];
+#pragma GCC unroll 8
+  for (int p = 0; p < kP; ++p) {
+#pragma GCC unroll 8
+    for (int v = 0; v < kFull; ++v) {
+      acc[p][v] = row.bias ? *reinterpret_cast<const VU*>(row.bias + v * kLanes)
+                           : V{};
     }
-
-    const auto pixel = [&](int ox, bool check_x) {
-      if (bias_d) {
-        for (int oc = 0; oc < kCout; ++oc) acc[oc] = bias_d[oc];
-      } else {
-        for (int oc = 0; oc < kCout; ++oc) acc[oc] = 0.0f;
+    if constexpr (kHalf > 0) {
+      acc4[p] = row.bias
+                    ? *reinterpret_cast<const F4U*>(row.bias + kFull * kLanes)
+                    : F4{};
+    }
+#pragma GCC unroll 4
+    for (int c = 0; c < kTail; ++c) {
+      acc1[p][c] = row.bias ? row.bias[kTailAt + c] : 0.0f;
+    }
+  }
+  // A border pixel past the image's edge (pad >= kw) has no taps at all.
+  const int run = std::max(0, kx_hi - kx_lo) * d.cin;
+  const std::size_t px_stride = std::size_t(d.stride) * d.cin;
+  for (int ky = row.ky_lo; run > 0 && ky < row.ky_hi; ++ky) {
+    const float* in_ky =
+        &row.in_img[(std::size_t(row.iy0 + ky) * d.w +
+                     std::size_t(ox * d.stride - d.pad + kx_lo)) * d.cin];
+    const float* w_ky =
+        &row.w[(std::size_t(ky) * d.kw + kx_lo) * d.cin * kCout];
+    for (int t = 0; t < run; ++t) {
+      const float* w_t = &w_ky[std::size_t(t) * kCout];
+      V wv[kFull > 0 ? kFull : 1];
+#pragma GCC unroll 8
+      for (int v = 0; v < kFull; ++v) {
+        wv[v] = *reinterpret_cast<const VU*>(w_t + v * kLanes);
       }
-      for (int ky = ky_lo; ky < ky_hi; ++ky) {
-        const int iy = oy * d.stride + ky - d.pad;
-        const float* in_y = &in_img[std::size_t(iy) * in_row_stride];
-        const float* w_ky = &w_d[std::size_t(ky) * d.kw * w_tap_stride];
-        for (int kx = 0; kx < d.kw; ++kx) {
-          const int ix = ox * d.stride + kx - d.pad;
-          if (check_x && (ix < 0 || ix >= d.w)) continue;
-          const float* in_px = &in_y[std::size_t(ix) * d.cin];
-          const float* w_px = &w_ky[std::size_t(kx) * w_tap_stride];
-          for (int ic = 0; ic < d.cin; ++ic) {
-            const float iv = in_px[ic];
-            if (iv == 0.0f) continue;
-            const float* w_row = &w_px[std::size_t(ic) * kCout];
-            for (int oc = 0; oc < kCout; ++oc) acc[oc] += iv * w_row[oc];
+      F4 wv4 = F4{};
+      if constexpr (kHalf > 0) {
+        wv4 = *reinterpret_cast<const F4U*>(w_t + kFull * kLanes);
+      }
+#pragma GCC unroll 8
+      for (int p = 0; p < kP; ++p) {
+        const float iv = in_ky[std::size_t(p) * px_stride + t];
+        if constexpr (kSkipZeros) {
+          // x + -0 is x for every x but a signaling NaN, -0 included, so
+          // a zero tap adds -0 in place of `iv * w`: the eager skip as a
+          // select off the accumulator's dependency chain. A branch here
+          // mispredicts on ReLU outputs, where zeros are common.
+          const auto live = (V{} + iv) != V{};
+          const auto live4 = (F4{} + iv) != F4{};
+#pragma GCC unroll 8
+          for (int v = 0; v < kFull; ++v) {
+            acc[p][v] += live ? iv * wv[v] : -V{};
           }
+          if constexpr (kHalf > 0) acc4[p] += live4 ? iv * wv4 : -F4{};
+#pragma GCC unroll 4
+          for (int c = 0; c < kTail; ++c) {
+            acc1[p][c] += iv != 0.0f ? iv * w_t[kTailAt + c] : -0.0f;
+          }
+        } else {
+#pragma GCC unroll 8
+          for (int v = 0; v < kFull; ++v) acc[p][v] += iv * wv[v];
+          if constexpr (kHalf > 0) acc4[p] += iv * wv4;
+#pragma GCC unroll 4
+          for (int c = 0; c < kTail; ++c) acc1[p][c] += iv * w_t[kTailAt + c];
         }
       }
-      float* out_px = &out_row[std::size_t(ox) * kCout];
-      for (int oc = 0; oc < kCout; ++oc) out_px[oc] = acc[oc];
-    };
-
-    // Interior pixels run in pairs so each weight row load feeds two
-    // accumulators. Each output still receives its additions in the same
-    // (ky, kx, ic) order as the single-pixel path, so results stay
-    // bit-exact with the eager kernel.
-    const auto pixel_pair = [&](int ox) {
-      if (bias_d) {
-        for (int oc = 0; oc < kCout; ++oc) acc[oc] = bias_d[oc];
-        for (int oc = 0; oc < kCout; ++oc) acc2[oc] = bias_d[oc];
-      } else {
-        for (int oc = 0; oc < kCout; ++oc) acc[oc] = 0.0f;
-        for (int oc = 0; oc < kCout; ++oc) acc2[oc] = 0.0f;
-      }
-      for (int ky = ky_lo; ky < ky_hi; ++ky) {
-        const int iy = oy * d.stride + ky - d.pad;
-        const float* in_y = &in_img[std::size_t(iy) * in_row_stride];
-        const float* w_ky = &w_d[std::size_t(ky) * d.kw * w_tap_stride];
-        for (int kx = 0; kx < d.kw; ++kx) {
-          const int ix = ox * d.stride + kx - d.pad;
-          const float* in_px = &in_y[std::size_t(ix) * d.cin];
-          const float* in_px2 = in_px + std::size_t(d.stride) * d.cin;
-          const float* w_px = &w_ky[std::size_t(kx) * w_tap_stride];
-          for (int ic = 0; ic < d.cin; ++ic) {
-            const float iv = in_px[ic];
-            const float iv2 = in_px2[ic];
-            const float* w_row = &w_px[std::size_t(ic) * kCout];
-            if (iv != 0.0f) {
-              for (int oc = 0; oc < kCout; ++oc) acc[oc] += iv * w_row[oc];
-            }
-            if (iv2 != 0.0f) {
-              for (int oc = 0; oc < kCout; ++oc) acc2[oc] += iv2 * w_row[oc];
-            }
-          }
-        }
-      }
-      float* out_px = &out_row[std::size_t(ox) * kCout];
-      for (int oc = 0; oc < kCout; ++oc) out_px[oc] = acc[oc];
-      float* out_px2 = out_px + kCout;
-      for (int oc = 0; oc < kCout; ++oc) out_px2[oc] = acc2[oc];
-    };
-
-    for (int ox = 0; ox < ox_lo; ++ox) pixel(ox, /*check_x=*/true);
-    int ox = ox_lo;
-    for (; ox + 1 < ox_hi; ox += 2) pixel_pair(ox);
-    for (; ox < ox_hi; ++ox) pixel(ox, /*check_x=*/false);
-    for (ox = std::max(ox, ox_hi); ox < d.ow; ++ox) pixel(ox, /*check_x=*/true);
+    }
+  }
+  float* out_px = &row.out[std::size_t(ox) * kCout];
+#pragma GCC unroll 8
+  for (int p = 0; p < kP; ++p) {
+    float* o = out_px + std::size_t(p) * kCout;
+#pragma GCC unroll 8
+    for (int v = 0; v < kFull; ++v) {
+      *reinterpret_cast<VU*>(o + v * kLanes) = acc[p][v];
+    }
+    if constexpr (kHalf > 0) {
+      *reinterpret_cast<F4U*>(o + kFull * kLanes) = acc4[p];
+    }
+#pragma GCC unroll 4
+    for (int c = 0; c < kTail; ++c) o[kTailAt + c] = acc1[p][c];
   }
 }
 
-// Generic-width fallback with the same local-accumulator structure.
+#if defined(__SSE2__)
+// Index of the first +-0 in p[0, n), or n. NaN compares unequal to zero,
+// as in the eager `iv == 0` test.
+METRO_NOALLOC
+[[gnu::always_inline]] inline std::size_t FirstZero(const float* p,
+                                                    std::size_t n) {
+  const __m128 zero = _mm_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const int mask = _mm_movemask_ps(_mm_cmpeq_ps(_mm_loadu_ps(p + i), zero));
+    if (mask != 0) return i + std::size_t(__builtin_ctz(unsigned(mask)));
+  }
+  for (; i < n; ++i) {
+    if (p[i] == 0.0f) return i;
+  }
+  return n;
+}
+
+// The first input column in [from, to) that holds a +-0 in any in-bounds
+// tap row of `row`, or `to`.
+METRO_NOALLOC
+[[gnu::always_inline]] inline int NextZeroColumn(const ConvRow& row, int from,
+                                                 int to) {
+  const ConvDims& d = *row.d;
+  int first = to;
+  for (int ky = row.ky_lo; ky < row.ky_hi && first > from; ++ky) {
+    const float* p =
+        &row.in_img[(std::size_t(row.iy0 + ky) * d.w + from) * d.cin];
+    first = from + int(FirstZero(p, std::size_t(first - from) * d.cin) /
+                       std::size_t(d.cin));
+  }
+  return first;
+}
+#endif
+
+// kPx output pixels from ox on, over taps kx in [kx_lo, kx_hi). Where none
+// of their input columns holds +-0 they run without the zero select.
+// Pixels come in order of ox, so `zero_col`, the first zero column at or
+// after the last scan, only moves right, and each input float of the row
+// is scanned at most once.
+template <int kLanes, int kCout, int kPx>
+[[gnu::always_inline]] inline void ConvPixels(
+    const ConvRow& row, int ox, int kx_lo, int kx_hi,
+    [[maybe_unused]] int& zero_col) {
+#if defined(__SSE2__)
+  if constexpr (kLanes > 1) {
+    const ConvDims& d = *row.d;
+    const int c0 = ox * d.stride - d.pad + kx_lo;
+    const int c1 = (ox + kPx - 1) * d.stride - d.pad + kx_hi;
+    if (zero_col < c0) zero_col = NextZeroColumn(row, c0, d.w);
+    if (zero_col >= c1) {
+      ConvTaps<kLanes, kCout, kPx, false>(row, ox, kx_lo, kx_hi);
+      return;
+    }
+  }
+#endif
+  ConvTaps<kLanes, kCout, kPx, true>(row, ox, kx_lo, kx_hi);
+}
+
+// One border output pixel, over the taps that land inside the image.
+template <int kLanes, int kCout>
+[[gnu::always_inline]] inline void ConvBorderPixel(const ConvRow& row, int ox,
+                                                   int& zero_col) {
+  const ConvDims& d = *row.d;
+  const int ix0 = ox * d.stride - d.pad;
+  ConvPixels<kLanes, kCout, 1>(row, ox, std::max(0, -ix0),
+                               std::min(d.kw, d.w - ix0), zero_col);
+}
+
+// The planned conv kernel at kLanes lanes: 4 (SSE2) or 8 (AVX), or 1, the
+// scalar kernel without __SSE2__, which runs single pixels only. Border
+// pixels run over their in-bounds taps. The interior, where every tap is in
+// bounds, runs in register blocks of kP pixels, the last one shifted left
+// to end at the interior's edge (its overlap is recomputed to the same
+// bits); an interior narrower than one block runs single pixels.
+template <int kLanes, int kCout>
+[[gnu::always_inline]] inline void ConvRows(const float* in_d,
+                                            const float* w_d,
+                                            const float* bias_d,
+                                            const ConvDims& d, float* out_d,
+                                            std::int64_t row_begin,
+                                            std::int64_t row_end) {
+  assert(d.cout == kCout);
+  const int stride = std::max(d.stride, 1);
+  // Interior ox range where every kx tap lands in-bounds. Skipped border
+  // taps contribute no additions, so splitting the range preserves the
+  // accumulation order.
+  const int ox_lo = std::min(d.ow, (d.pad + stride - 1) / stride);
+  const int ox_hi =
+      std::max(ox_lo, std::min(d.ow, (d.w - d.kw + d.pad) / stride + 1));
+  for (std::int64_t r = row_begin; r < row_end; ++r) {
+    const int b = int(r / d.oh);
+    const int oy = int(r % d.oh);
+    ConvRow row{&d,
+                &in_d[std::size_t(b) * d.h * d.w * d.cin],
+                w_d,
+                bias_d,
+                oy * d.stride - d.pad,
+                0,
+                d.kh,
+                &out_d[std::size_t(r) * d.ow * kCout]};
+    while (row.ky_lo < row.ky_hi && row.iy0 + row.ky_lo < 0) ++row.ky_lo;
+    while (row.ky_hi > row.ky_lo && row.iy0 + row.ky_hi - 1 >= d.h) {
+      --row.ky_hi;
+    }
+
+    int zero_col = -1;
+    int ox = 0;
+    for (; ox < ox_lo; ++ox) ConvBorderPixel<kLanes, kCout>(row, ox, zero_col);
+    if constexpr (kLanes > 1) {
+      constexpr int kP = ConvLayout<kLanes, kCout>::kP;
+      if (ox_hi - ox_lo >= kP) {
+        while (ox < ox_hi) {
+          const int start = std::min(ox, ox_hi - kP);
+          ConvPixels<kLanes, kCout, kP>(row, start, 0, d.kw, zero_col);
+          ox = start + kP;
+        }
+      }
+    }
+    for (; ox < ox_hi; ++ox) {
+      ConvPixels<kLanes, kCout, 1>(row, ox, 0, d.kw, zero_col);
+    }
+    for (; ox < d.ow; ++ox) ConvBorderPixel<kLanes, kCout>(row, ox, zero_col);
+  }
+}
+
+// Generic-width fallback with a local accumulator block.
 METRO_NOALLOC
 void ConvRowRangeBlocked(const float* in_d, const float* w_d,
                          const float* bias_d, const ConvDims& d, float* out_d,
@@ -232,16 +401,54 @@ using ConvRowFn = void (*)(const float*, const float*, const float*,
                            const ConvDims&, float*, std::int64_t,
                            std::int64_t);
 
-// Picks the unrolled kernel for the channel widths the zoo actually uses.
-ConvRowFn PickConvRowFn(int cout) {
+// ConvRows at the baseline width: 4 lanes (SSE2), or the scalar kernel
+// where __SSE2__ is not defined.
+template <int kCout>
+METRO_NOALLOC
+void ConvRowRangeBaseline(const float* in_d, const float* w_d,
+                          const float* bias_d, const ConvDims& d,
+                          float* out_d, std::int64_t row_begin,
+                          std::int64_t row_end) {
+#if defined(__SSE2__)
+  ConvRows<4, kCout>(in_d, w_d, bias_d, d, out_d, row_begin, row_end);
+#else
+  ConvRows<1, kCout>(in_d, w_d, bias_d, d, out_d, row_begin, row_end);
+#endif
+}
+
+#if defined(__SSE2__)
+// ConvRows at 8 lanes. Only "avx", never "fma" or "avx2": a fused
+// multiply-add rounds once and would break bit parity with the eager
+// kernel. Called only where the CPU has AVX (detail::ConvKernelLanes).
+template <int kCout>
+METRO_NOALLOC
+[[gnu::target("avx")]] void ConvRowRangeAvx(
+    const float* in_d, const float* w_d, const float* bias_d,
+    const ConvDims& d, float* out_d, std::int64_t row_begin,
+    std::int64_t row_end) {
+  ConvRows<8, kCout>(in_d, w_d, bias_d, d, out_d, row_begin, row_end);
+}
+#endif
+
+template <int kCout>
+ConvRowFn ConvRowFnAt([[maybe_unused]] int lanes) {
+#if defined(__SSE2__)
+  if (lanes == 8) return ConvRowRangeAvx<kCout>;
+#endif
+  return ConvRowRangeBaseline<kCout>;
+}
+
+// Picks the register-blocked kernel, at `lanes` lanes, for the channel
+// widths the zoo uses: multiples of 4, and 13, the prediction convs.
+ConvRowFn PickConvRowFn(int cout, int lanes) {
   switch (cout) {
-    case 4: return ConvRowRangeFixed<4>;
-    case 8: return ConvRowRangeFixed<8>;
-    case 12: return ConvRowRangeFixed<12>;
-    case 13: return ConvRowRangeFixed<13>;
-    case 16: return ConvRowRangeFixed<16>;
-    case 24: return ConvRowRangeFixed<24>;
-    case 32: return ConvRowRangeFixed<32>;
+    case 4: return ConvRowFnAt<4>(lanes);
+    case 8: return ConvRowFnAt<8>(lanes);
+    case 12: return ConvRowFnAt<12>(lanes);
+    case 13: return ConvRowFnAt<13>(lanes);
+    case 16: return ConvRowFnAt<16>(lanes);
+    case 24: return ConvRowFnAt<24>(lanes);
+    case 32: return ConvRowFnAt<32>(lanes);
     default: return cout <= kConvAccChannels ? ConvRowRangeBlocked
                                              : ConvRowRange;
   }
@@ -338,9 +545,33 @@ METRO_NOALLOC
 void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
                        const Tensor& bias, int stride, int pad,
                        const TensorView& out, ThreadPool* pool) {
+  detail::Conv2dForwardIntoAtLanes(detail::ConvKernelLanes(), input, weights,
+                                   bias, stride, pad, out, pool);
+}
+
+namespace detail {
+
+int ConvKernelLanes() {
+#if defined(__SSE2__)
+  static const int lanes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx") ? 8 : 4;
+  }();
+  return lanes;
+#else
+  return 1;
+#endif
+}
+
+METRO_NOALLOC
+void Conv2dForwardIntoAtLanes(int lanes, const TensorView& input,
+                              const Tensor& weights, const Tensor& bias,
+                              int stride, int pad, const TensorView& out,
+                              ThreadPool* pool) {
   assert(input.rank() == 4 && weights.rank() == 4 && out.rank() == 4);
   assert(weights.dim(2) == input.dim(3));
   assert(bias.empty() || int(bias.size()) == weights.dim(3));
+  assert(lanes <= ConvKernelLanes());
   const ConvDims d = MakeConvDims(input.shape(), weights, stride, pad);
   assert(out.dim(0) == d.n && out.dim(1) == d.oh && out.dim(2) == d.ow &&
          out.dim(3) == d.cout);
@@ -357,12 +588,14 @@ void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
       std::int64_t(d.ow) * d.cout * d.kh * d.kw * d.cin;
   const std::int64_t grain =
       std::max<std::int64_t>(1, 65536 / std::max<std::int64_t>(macs_per_row, 1));
-  const ConvRowFn row_fn = PickConvRowFn(d.cout);
+  const ConvRowFn row_fn = PickConvRowFn(d.cout, lanes);
   ParallelFor(pool, 0, rows, grain,
               [&](std::int64_t lo, std::int64_t hi) {
                 row_fn(in_d, w_d, bias_d, d, out_d, lo, hi);
               });
 }
+
+}  // namespace detail
 
 ConvGrads Conv2dBackward(const Tensor& input, const Tensor& weights,
                          const Tensor& grad_out, int stride, int pad) {
@@ -796,7 +1029,17 @@ void BatchNormInferenceInto(const TensorView& x, std::span<const float> scale,
   for (std::size_t r = 0; r < rows; ++r) {
     const float* xr = &xd[r * c];
     float* orow = &od[r * c];
-    for (int ch = 0; ch < c; ++ch) orow[ch] = xr[ch] * scale[ch] + shift[ch];
+    int ch = 0;
+#if defined(__SSE2__)
+    // Four channels at a time, the multiply and the add as two rounded
+    // instructions each, as in the scalar `x * scale + shift`.
+    for (; ch + 4 <= c; ch += 4) {
+      const __m128 v =
+          _mm_mul_ps(_mm_loadu_ps(xr + ch), _mm_loadu_ps(&scale[ch]));
+      _mm_storeu_ps(orow + ch, _mm_add_ps(v, _mm_loadu_ps(&shift[ch])));
+    }
+#endif
+    for (; ch < c; ++ch) orow[ch] = xr[ch] * scale[ch] + shift[ch];
   }
 }
 

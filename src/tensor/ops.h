@@ -104,6 +104,21 @@ void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
                        const Tensor& bias, int stride, int pad,
                        const TensorView& out, ThreadPool* pool = nullptr);
 
+namespace detail {
+
+/// The lane width Conv2dForwardInto's kernel runs at on this CPU, checked
+/// once: 8 where the CPU has AVX, 4 with SSE2, 1 for the scalar kernel.
+int ConvKernelLanes();
+
+/// Conv2dForwardInto at a fixed lane width: 4, or 8 where ConvKernelLanes()
+/// is 8. Lets the parity tests reach the 4-lane kernel on an AVX host.
+void Conv2dForwardIntoAtLanes(int lanes, const TensorView& input,
+                              const Tensor& weights, const Tensor& bias,
+                              int stride, int pad, const TensorView& out,
+                              ThreadPool* pool = nullptr);
+
+}  // namespace detail
+
 /// MaxPool2dForward without the argmax bookkeeping (inference needs no
 /// backward routing).
 void MaxPool2dForwardInto(const TensorView& input, int k, int stride,

@@ -161,6 +161,143 @@ TEST(InferenceParityTest, MaxPool2dForwardIntoIsBitExactOnSpecialValues) {
   }
 }
 
+// The planned conv kernel runs interior pixels in register blocks that add
+// every tap, and single pixels that skip `iv == 0` taps as the eager kernel
+// does; a block may only run where none of its taps is +-0. So the inputs
+// scatter +-0, zero whole bands of rows (a -0 bias must survive there) and
+// zero one input channel whose weight rows hold +-inf and NaN: one product
+// of those that is not skipped turns an output into NaN.
+TEST(InferenceParityTest, Conv2dForwardIntoIsBitExactOnSpecialValues) {
+  Rng rng(1501);
+  ThreadPool pool(2);
+  const int lanes = tensor::detail::ConvKernelLanes();
+  const int kCouts[] = {4, 8, 12, 13, 16, 20, 24, 32, 136};
+  const float kDenormals[] = {std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min(),
+                              FromBits(0x00400000u), FromBits(0x80400000u)};
+  const float kPoison[] = {std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           FromBits(0x7fc00000u), FromBits(0xffc01234u)};
+  EXPERIMENT_REPEAT {
+    const int k = 2 * int(rng.UniformInt(0, 2)) + 1;  // 1, 3, 5
+    const int stride = int(rng.UniformInt(1, 2));
+    const int pad = int(rng.UniformInt(0, 2));
+    const int n = int(rng.UniformInt(1, 3));
+    const int cin = int(rng.UniformInt(1, 13));
+    const int cout = kCouts[rng.UniformU64(std::size(kCouts))];
+    // Down to one output column: narrower than any register block.
+    const int min_hw = std::max(1, k - 2 * pad);
+    const int h = int(rng.UniformInt(min_hw, min_hw + 8));
+    const int w = int(rng.UniformInt(min_hw, min_hw + 12));
+
+    Tensor x({n, h, w, cin});
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::uint64_t pick = rng.UniformU64(16);
+      x[i] = pick == 0   ? 0.0f
+             : pick == 1 ? -0.0f
+             : pick == 2 ? kDenormals[rng.UniformU64(std::size(kDenormals))]
+                         : rng.UniformFloat(-2.0f, 2.0f);
+    }
+    if (rng.Bernoulli(0.5)) {
+      const int band = int(rng.UniformInt(1, std::min(h, k)));
+      const int y0 = int(rng.UniformInt(0, h - band));
+      const int b = int(rng.UniformInt(0, n - 1));
+      for (int y = y0; y < y0 + band; ++y) {
+        for (int i = 0; i < w * cin; ++i) {
+          x[(std::size_t(b) * h + y) * w * cin + i] =
+              rng.Bernoulli(0.5) ? 0.0f : -0.0f;
+        }
+      }
+    }
+
+    Tensor wts({k, k, cin, cout});
+    for (std::size_t i = 0; i < wts.size(); ++i) {
+      wts[i] = rng.UniformU64(16) == 0
+                   ? kDenormals[rng.UniformU64(std::size(kDenormals))]
+                   : rng.UniformFloat(-1.0f, 1.0f);
+    }
+    if (cin > 1 && rng.Bernoulli(0.5)) {
+      const int dead = int(rng.UniformInt(0, cin - 1));
+      for (std::size_t px = 0; px < x.size() / cin; ++px) {
+        x[px * cin + dead] = rng.Bernoulli(0.5) ? 0.0f : -0.0f;
+      }
+      for (int tap = 0; tap < k * k; ++tap) {
+        for (int oc = 0; oc < cout; ++oc) {
+          wts[(std::size_t(tap) * cin + dead) * cout + oc] =
+              kPoison[rng.UniformU64(std::size(kPoison))];
+        }
+      }
+    }
+
+    Tensor bias;
+    if (!rng.Bernoulli(0.25)) {
+      bias = Tensor({cout});
+      const bool all_negative_zero = rng.Bernoulli(0.5);
+      for (int oc = 0; oc < cout; ++oc) {
+        bias[oc] = all_negative_zero || rng.Bernoulli(0.25)
+                       ? -0.0f
+                       : rng.UniformFloat(-1.0f, 1.0f);
+      }
+    }
+
+    SCOPED_TRACE(::testing::Message()
+                 << "n=" << n << " h=" << h << " w=" << w << " cin=" << cin
+                 << " cout=" << cout << " k=" << k << " stride=" << stride
+                 << " pad=" << pad << " repetition=" << repetition);
+    const Tensor eager = tensor::Conv2dForward(x, wts, bias, stride, pad);
+    Tensor out(eager.shape());
+    tensor::Conv2dForwardInto(TensorView::OfConst(x), wts, bias, stride, pad,
+                              TensorView(out), &pool);
+    ExpectBitExact(eager, out);
+    // Both instantiations, whichever one Conv2dForwardInto picked.
+    for (const int at : {4, 8}) {
+      if (at > lanes) continue;
+      Tensor out_at(eager.shape());
+      tensor::detail::Conv2dForwardIntoAtLanes(
+          at, TensorView::OfConst(x), wts, bias, stride, pad,
+          TensorView(out_at));
+      SCOPED_TRACE(::testing::Message() << "lanes=" << at);
+      ExpectBitExact(eager, out_at);
+    }
+  }
+}
+
+TEST(InferenceParityTest, BatchNormInferenceIntoIsBitExactOnSpecialValues) {
+  Rng rng(1502);
+  EXPERIMENT_REPEAT {
+    const int c = int(rng.UniformInt(1, 17));  // every four-lane remainder
+    const int rows = int(rng.UniformInt(1, 9));
+    nn::BatchNorm bn(c);
+    Tensor& gamma = bn.Params()[0]->value;
+    Tensor& beta = bn.Params()[1]->value;
+    Tensor& mean = *bn.Buffers()[0];
+    Tensor& var = *bn.Buffers()[1];
+    for (int ch = 0; ch < c; ++ch) {
+      gamma[ch] = rng.UniformFloat(-2.0f, 2.0f);
+      beta[ch] = rng.Bernoulli(0.25) ? -0.0f : rng.UniformFloat(-1.0f, 1.0f);
+      mean[ch] = rng.UniformFloat(-1.0f, 1.0f);
+      var[ch] = rng.UniformFloat(0.0f, 2.0f);
+    }
+    const Tensor x = SpecialInput({rows, c}, rng);
+
+    const Tensor eager = bn.Forward(x, /*training=*/false);
+
+    std::vector<float> scale(std::size_t(c), 0.0f), shift(std::size_t(c), 0.0f);
+    tensor::BatchNormFoldScaleShift(gamma.data(), beta.data(), mean.data(),
+                                    var.data(), 1e-5f, scale, shift);
+    Tensor out(x.shape());
+    tensor::BatchNormInferenceInto(TensorView::OfConst(x), scale, shift,
+                                   TensorView(out));
+    ExpectBitExact(eager, out);
+
+    // The plan's kInPlace step: `out` aliases `x`.
+    Tensor in_place = x;
+    TensorView view(in_place);
+    tensor::BatchNormInferenceInto(view, scale, shift, view);
+    ExpectBitExact(eager, in_place);
+  }
+}
+
 // ------------------------------------------------------------ single layers
 
 TEST(InferenceParityTest, ResNetBlockAllShortcuts) {
