@@ -31,7 +31,7 @@ struct Event {
   std::string body;
   /// Opaque metadata forwarded to the sink; the tracing layer rides on the
   /// `x-trace` key so downstream stages continue the event's trace.
-  std::map<std::string, std::string> headers;
+  std::map<std::string, std::string> headers = {};
   TimeNs enqueued_at = 0;  ///< when the source pushed it into the channel
   /// Position in the source's emission order (1-based; assigned by the
   /// agent's source loop, 0 for events that never passed through an agent).

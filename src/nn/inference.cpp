@@ -5,6 +5,36 @@
 
 namespace metro::nn {
 
+namespace {
+
+// Takes into `step` the layers from layers[i] on that its Conv2d's kernel
+// applies to each pixel: a BatchNorm, then a ReLU or LeakyReLU, each
+// optional, in that order and adjacent.
+void AbsorbConvTail(const std::vector<Layer*>& layers, std::size_t i,
+                    InferencePlan::Step& step) {
+  ConvTail& tail = step.tail;
+  if (i < layers.size()) {
+    if (const auto* bn = dynamic_cast<const BatchNorm*>(layers[i])) {
+      tail.bn = bn;
+      ++step.absorbed;
+      ++i;
+    }
+  }
+  if (i < layers.size()) {
+    const auto* act = dynamic_cast<const Activation*>(layers[i]);
+    if (act && (act->kind() == ActKind::kRelu ||
+                act->kind() == ActKind::kLeakyRelu)) {
+      tail.epilogue.act = act->kind() == ActKind::kRelu
+                              ? tensor::ConvAct::kRelu
+                              : tensor::ConvAct::kLeakyRelu;
+      tail.epilogue.alpha = act->alpha();
+      ++step.absorbed;
+    }
+  }
+}
+
+}  // namespace
+
 InferencePlan::InferencePlan(std::vector<Layer*> layers,
                              const Shape& input_shape)
     : layers_(std::move(layers)), input_shape_(input_shape) {
@@ -13,11 +43,16 @@ InferencePlan::InferencePlan(std::vector<Layer*> layers,
   // -1 means the current activation still lives in the caller's input
   // buffer, which the plan must never write to.
   int cur_slot = -1;
-  for (Layer* layer : layers_) {
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    Layer* layer = layers_[i];
     Step step;
     step.layer = layer;
     step.in_shape = cur;
     step.out_shape = layer->OutputShape(cur);
+    if (dynamic_cast<Conv2d*>(layer)) {
+      AbsorbConvTail(layers_, i + 1, step);
+      i += std::size_t(step.absorbed);
+    }
     switch (layer->placement()) {
       case InferencePlacement::kAlias:
         step.kind = ExecKind::kReshape;
@@ -148,7 +183,12 @@ TensorView InferenceSession::Run(const TensorView& input) {
       case InferencePlan::ExecKind::kCompute: {
         const TensorView& out = step_views_[i];
         const Workspace::Mark scratch = arena_->Position();
-        step.layer->ForwardInto(*cur, out, ctx);
+        if (step.absorbed > 0) {
+          static_cast<Conv2d*>(step.layer)->ForwardInto(*cur, out, ctx,
+                                                        step.tail);
+        } else {
+          step.layer->ForwardInto(*cur, out, ctx);
+        }
         arena_->Rewind(scratch);
         cur = &out;
         break;

@@ -7,10 +7,13 @@
 // walks a layer stack once, runs shape inference via Layer::OutputShape, and
 // assigns every activation to one of two ping-pong arena slots, collapsing
 // elementwise layers to in-place execution and reshapes/identities to free
-// view relabelings. An InferenceSession binds a plan to a tensor::Workspace
-// (and optional ThreadPool) and replays it allocation-free: after the first
-// Run the arena is warm and steady-state inference performs zero heap
-// allocations inside the engine.
+// view relabelings. A Conv2d absorbs the layers after it that its kernel can
+// apply to each pixel before the store (nn::ConvTail): a BatchNorm, then a
+// ReLU or LeakyReLU, each optional but in that order, so conv -> BN ->
+// activation is one pass over memory. An InferenceSession binds a plan to a
+// tensor::Workspace (and optional ThreadPool) and replays it
+// allocation-free: after the first Run the arena is warm and steady-state
+// inference performs zero heap allocations inside the engine.
 //
 // Several sessions may share one Workspace — the Fig. 5/7 split models bind
 // their local and server halves to the same arena so the cut-point
@@ -54,6 +57,10 @@ class InferencePlan {
     int dst_slot;  ///< 0 or 1 for kCompute; -1 otherwise
     Shape in_shape;
     Shape out_shape;
+    /// When `absorbed` > 0, `layer` is a Conv2d that runs with `tail`, which
+    /// holds the `absorbed` layers after it in the list.
+    ConvTail tail;
+    int absorbed = 0;
   };
 
   InferencePlan() = default;

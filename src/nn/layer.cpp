@@ -94,9 +94,24 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
 METRO_NOALLOC
 void Conv2d::ForwardInto(const TensorView& x, const TensorView& out,
                          InferenceContext& ctx) {
+  ForwardInto(x, out, ctx, ConvTail{});
+}
+
+METRO_NOALLOC
+void Conv2d::ForwardInto(const TensorView& x, const TensorView& out,
+                         InferenceContext& ctx, const ConvTail& tail) {
   assert(x.rank() == 4 && x.dim(3) == cin_);
+  tensor::ConvEpilogue epilogue = tail.epilogue;
+  if (tail.bn) {
+    assert(ctx.scratch);
+    const std::span<float> scale = ctx.scratch->Alloc(std::size_t(cout_));
+    const std::span<float> shift = ctx.scratch->Alloc(std::size_t(cout_));
+    tail.bn->FoldScaleShift(scale, shift);
+    epilogue.scale = scale.data();
+    epilogue.shift = shift.data();
+  }
   tensor::Conv2dForwardInto(x, w_.value, b_.value, stride_, pad_, out,
-                            ctx.pool);
+                            ctx.pool, epilogue);
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {
@@ -356,10 +371,16 @@ void BatchNorm::ForwardInto(const TensorView& x, const TensorView& out,
   }
   const std::span<float> scale = ctx.scratch->Alloc(std::size_t(c_));
   const std::span<float> shift = ctx.scratch->Alloc(std::size_t(c_));
+  FoldScaleShift(scale, shift);
+  tensor::BatchNormInferenceInto(x, scale, shift, out);
+}
+
+METRO_NOALLOC
+void BatchNorm::FoldScaleShift(std::span<float> scale,
+                               std::span<float> shift) const {
   tensor::BatchNormFoldScaleShift(gamma_.value.data(), beta_.value.data(),
                                   running_mean_.data(), running_var_.data(),
                                   eps_, scale, shift);
-  tensor::BatchNormInferenceInto(x, scale, shift, out);
 }
 
 void BatchNorm::ForwardIntoNoScratch(const TensorView& x,
@@ -369,9 +390,7 @@ void BatchNorm::ForwardIntoNoScratch(const TensorView& x,
       std::span<float>(fallback).first(std::size_t(c_));
   const std::span<float> shift =
       std::span<float>(fallback).last(std::size_t(c_));
-  tensor::BatchNormFoldScaleShift(gamma_.value.data(), beta_.value.data(),
-                                  running_mean_.data(), running_var_.data(),
-                                  eps_, scale, shift);
+  FoldScaleShift(scale, shift);
   tensor::BatchNormInferenceInto(x, scale, shift, out);
 }
 

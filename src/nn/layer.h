@@ -116,6 +116,19 @@ class Dense final : public Layer {
   Tensor cached_x_;
 };
 
+class BatchNorm;
+
+/// What a planned Conv2d step runs in the conv kernel's epilogue rather than
+/// as steps of its own: the layers an InferencePlan absorbs after it, or a
+/// ResNetBlock's tail.
+struct ConvTail {
+  /// Folded into epilogue.scale and .shift on every run, never once at plan
+  /// time: training steps between runs would leave a plan-time fold stale.
+  const BatchNorm* bn = nullptr;
+  /// The residual and activation; scale and shift stay null here.
+  tensor::ConvEpilogue epilogue;
+};
+
 /// 2-D convolution layer over NHWC inputs.
 class Conv2d final : public Layer {
  public:
@@ -126,6 +139,10 @@ class Conv2d final : public Layer {
   Tensor Backward(const Tensor& grad_out) override;
   void ForwardInto(const TensorView& x, const TensorView& out,
                    InferenceContext& ctx) override;
+  /// The conv with `tail` applied in its kernel. Needs ctx.scratch when the
+  /// tail has a BatchNorm.
+  void ForwardInto(const TensorView& x, const TensorView& out,
+                   InferenceContext& ctx, const ConvTail& tail);
   std::vector<Param*> Params() override { return {&w_, &b_}; }
   std::string name() const override;
   std::size_t ForwardMacs(const Shape& input_shape) const override;
@@ -211,6 +228,9 @@ class Activation final : public Layer {
     return input_shape;
   }
 
+  ActKind kind() const { return kind_; }
+  float alpha() const { return alpha_; }
+
  private:
   ActKind kind_;
   float alpha_;
@@ -244,6 +264,10 @@ class BatchNorm final : public Layer {
 
   std::span<const float> running_mean() const { return running_mean_.data(); }
   std::span<const float> running_var() const { return running_var_.data(); }
+
+  /// The inference affine, y = x * scale + shift per channel, from the
+  /// current parameters and running statistics (c floats each).
+  void FoldScaleShift(std::span<float> scale, std::span<float> shift) const;
 
  private:
   /// Eager-materializing fallback when no scratch arena is bound (heap

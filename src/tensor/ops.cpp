@@ -25,9 +25,9 @@ struct ConvDims {
 // Computes output rows [row_begin, row_end), where a "row" is one (batch,
 // output-y) pair. All indexing is raw pointers with precomputed strides —
 // no per-element Tensor::at() — and the bias span is hoisted out of the
-// pixel loop. Shared by the eager Conv2dForward and the planned
-// Conv2dForwardInto so the two stay bit-identical; each output element is
-// written by exactly one row, so ParallelFor over rows is race-free and
+// pixel loop. The eager Conv2dForward's kernel, and the planned
+// Conv2dForwardInto's for widths past kConvAccChannels; each output element
+// is written by exactly one row, so ParallelFor over rows is race-free and
 // order-preserving.
 METRO_NOALLOC
 void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
@@ -85,6 +85,8 @@ struct ConvRow {
   int iy0;              // input row of tap ky = 0
   int ky_lo, ky_hi;     // the taps whose input row is in bounds
   float* out;           // the output row
+  const ConvEpilogue* epi;
+  const float* res;     // the row's residual; null: none
 };
 
 // GCC vector-extension types; the *U ones are the unaligned, may-alias
@@ -108,6 +110,48 @@ template <> struct LaneVec<8> {
   using type = F8;
   using unaligned = F8U;
 };
+// The unaligned load type of T: float, F4 or F8.
+template <class T>
+using UnalignedOf = typename LaneVec<sizeof(T) / sizeof(float)>::unaligned;
+
+// ConvEpilogue's operations on the accumulator `a` of the channels from
+// `ch` on: one float, or one vector T of them. Each operation rounds on its
+// own, as the eager layers do one after the other. The selects keep NaN and
+// -0, neither of which is < 0, as the eager `v < 0` tests do.
+template <class T>
+[[gnu::always_inline]] inline void EpilogueAffine(T& a, const ConvEpilogue& e,
+                                                  int ch) {
+  using TU = UnalignedOf<T>;
+  const T scale = *reinterpret_cast<const TU*>(e.scale + ch);
+  const T shift = *reinterpret_cast<const TU*>(e.shift + ch);
+  a = a * scale;
+  a = a + shift;
+}
+
+template <class T>
+[[gnu::always_inline]] inline void EpilogueAdd(T& a, const float* res) {
+  const T r = *reinterpret_cast<const UnalignedOf<T>*>(res);
+  a = a + r;
+}
+
+template <class T>
+[[gnu::always_inline]] inline void EpilogueAct(T& a, const ConvEpilogue& e) {
+  if (e.act == ConvAct::kRelu) {
+    a = a < T{} ? T{} : a;
+  } else {
+    a = a < T{} ? a * e.alpha : a;
+  }
+}
+
+// The whole epilogue on one accumulator, `res` being its pixel's residual
+// or null; for the kernels that run one channel at a time.
+template <class T>
+[[gnu::always_inline]] inline void ApplyEpilogue(T& a, const ConvEpilogue& e,
+                                                 const float* res, int ch) {
+  if (e.scale) EpilogueAffine(a, e, ch);
+  if (res) EpilogueAdd(a, res + ch);
+  if (e.act != ConvAct::kNone) EpilogueAct(a, e);
+}
 
 // How kCout channels sit in registers at kLanes lanes: kFull kLanes-wide
 // vectors, then (12 at 8 lanes) one 4-lane vector, then the last
@@ -124,6 +168,16 @@ struct ConvLayout {
   static constexpr int kP = std::max(2, 7 - kRegs);
 };
 
+// The accumulators of kP pixels, laid out as ConvLayout says. Only ever a
+// local of an always-inline function, so it lives in registers.
+template <int kLanes, int kCout, int kP>
+struct ConvBlock {
+  using L = ConvLayout<kLanes, kCout>;
+  typename LaneVec<kLanes>::type acc[kP][L::kFull > 0 ? L::kFull : 1];
+  F4 acc4[kP];
+  float acc1[kP][L::kTail > 0 ? L::kTail : 1];
+};
+
 // Taps kx in [kx_lo, kx_hi) of kP output pixels from ox on, each held in
 // registers as ConvLayout lays them out. For each ky the (kx, ic) taps are
 // one contiguous run of floats in both the NHWC input and the HWIO
@@ -136,16 +190,17 @@ struct ConvLayout {
 // `0 * inf` into NaN.
 template <int kLanes, int kCout, int kP, bool kSkipZeros>
 [[gnu::always_inline]] inline void ConvTaps(const ConvRow& row, int ox,
-                                            int kx_lo, int kx_hi) {
+                                            int kx_lo, int kx_hi,
+                                            ConvBlock<kLanes, kCout, kP>& b) {
   using V = typename LaneVec<kLanes>::type;
   using VU = typename LaneVec<kLanes>::unaligned;
   using L = ConvLayout<kLanes, kCout>;
   constexpr int kFull = L::kFull, kHalf = L::kHalf, kTail = L::kTail;
   constexpr int kTailAt = L::kTailAt;
   const ConvDims& d = *row.d;
-  V acc[kP][kFull > 0 ? kFull : 1];
-  F4 acc4[kP];
-  float acc1[kP][kTail > 0 ? kTail : 1];
+  auto& acc = b.acc;
+  auto& acc4 = b.acc4;
+  auto& acc1 = b.acc1;
 #pragma GCC unroll 8
   for (int p = 0; p < kP; ++p) {
 #pragma GCC unroll 8
@@ -211,6 +266,47 @@ template <int kLanes, int kCout, int kP, bool kSkipZeros>
         }
       }
     }
+  }
+}
+
+// Applies the row's epilogue to a block's registers, one operation at a
+// time over the whole block so each branch is taken once per block, then
+// stores the kP pixels from ox on.
+template <int kLanes, int kCout, int kP>
+[[gnu::always_inline]] inline void ConvStore(const ConvRow& row, int ox,
+                                             ConvBlock<kLanes, kCout, kP>& b) {
+  using VU = typename LaneVec<kLanes>::unaligned;
+  using L = ConvLayout<kLanes, kCout>;
+  constexpr int kFull = L::kFull, kHalf = L::kHalf, kTail = L::kTail;
+  constexpr int kTailAt = L::kTailAt;
+  auto& acc = b.acc;
+  auto& acc4 = b.acc4;
+  auto& acc1 = b.acc1;
+  const ConvEpilogue& e = *row.epi;
+  const auto each = [&](auto op) __attribute__((always_inline)) {
+#pragma GCC unroll 8
+    for (int p = 0; p < kP; ++p) {
+#pragma GCC unroll 8
+      for (int v = 0; v < kFull; ++v) op(acc[p][v], p, v * kLanes);
+      if constexpr (kHalf > 0) op(acc4[p], p, kFull * kLanes);
+#pragma GCC unroll 4
+      for (int c = 0; c < kTail; ++c) op(acc1[p][c], p, kTailAt + c);
+    }
+  };
+  if (e.scale) {
+    each([&](auto& a, int, int ch) __attribute__((always_inline)) {
+      EpilogueAffine(a, e, ch);
+    });
+  }
+  if (row.res) {
+    each([&](auto& a, int p, int ch) __attribute__((always_inline)) {
+      EpilogueAdd(a, row.res + std::size_t(ox + p) * kCout + ch);
+    });
+  }
+  if (e.act != ConvAct::kNone) {
+    each([&](auto& a, int, int) __attribute__((always_inline)) {
+      EpilogueAct(a, e);
+    });
   }
   float* out_px = &row.out[std::size_t(ox) * kCout];
 #pragma GCC unroll 8
@@ -278,13 +374,19 @@ template <int kLanes, int kCout, int kPx>
     const int c0 = ox * d.stride - d.pad + kx_lo;
     const int c1 = (ox + kPx - 1) * d.stride - d.pad + kx_hi;
     if (zero_col < c0) zero_col = NextZeroColumn(row, c0, d.w);
+    ConvBlock<kLanes, kCout, kPx> block;
     if (zero_col >= c1) {
-      ConvTaps<kLanes, kCout, kPx, false>(row, ox, kx_lo, kx_hi);
-      return;
+      ConvTaps<kLanes, kCout, kPx, false>(row, ox, kx_lo, kx_hi, block);
+    } else {
+      ConvTaps<kLanes, kCout, kPx, true>(row, ox, kx_lo, kx_hi, block);
     }
+    ConvStore(row, ox, block);
+    return;
   }
 #endif
-  ConvTaps<kLanes, kCout, kPx, true>(row, ox, kx_lo, kx_hi);
+  ConvBlock<kLanes, kCout, kPx> block;
+  ConvTaps<kLanes, kCout, kPx, true>(row, ox, kx_lo, kx_hi, block);
+  ConvStore(row, ox, block);
 }
 
 // One border output pixel, over the taps that land inside the image.
@@ -302,14 +404,13 @@ template <int kLanes, int kCout>
 // pixels run over their in-bounds taps. The interior, where every tap is in
 // bounds, runs in register blocks of kP pixels, the last one shifted left
 // to end at the interior's edge (its overlap is recomputed to the same
-// bits); an interior narrower than one block runs single pixels.
+// bits, which is why a residual must not be read from the output); an
+// interior narrower than one block runs single pixels.
 template <int kLanes, int kCout>
-[[gnu::always_inline]] inline void ConvRows(const float* in_d,
-                                            const float* w_d,
-                                            const float* bias_d,
-                                            const ConvDims& d, float* out_d,
-                                            std::int64_t row_begin,
-                                            std::int64_t row_end) {
+[[gnu::always_inline]] inline void ConvRows(
+    const float* in_d, const float* w_d, const float* bias_d,
+    const ConvDims& d, const ConvEpilogue& e, float* out_d,
+    std::int64_t row_begin, std::int64_t row_end) {
   assert(d.cout == kCout);
   const int stride = std::max(d.stride, 1);
   // Interior ox range where every kx tap lands in-bounds. Skipped border
@@ -321,6 +422,7 @@ template <int kLanes, int kCout>
   for (std::int64_t r = row_begin; r < row_end; ++r) {
     const int b = int(r / d.oh);
     const int oy = int(r % d.oh);
+    const std::size_t row_floats = std::size_t(d.ow) * kCout;
     ConvRow row{&d,
                 &in_d[std::size_t(b) * d.h * d.w * d.cin],
                 w_d,
@@ -328,7 +430,10 @@ template <int kLanes, int kCout>
                 oy * d.stride - d.pad,
                 0,
                 d.kh,
-                &out_d[std::size_t(r) * d.ow * kCout]};
+                &out_d[std::size_t(r) * row_floats],
+                &e,
+                e.residual ? &e.residual[std::size_t(r) * row_floats]
+                           : nullptr};
     while (row.ky_lo < row.ky_hi && row.iy0 + row.ky_lo < 0) ++row.ky_lo;
     while (row.ky_hi > row.ky_lo && row.iy0 + row.ky_hi - 1 >= d.h) {
       --row.ky_hi;
@@ -357,7 +462,8 @@ template <int kLanes, int kCout>
 // Generic-width fallback with a local accumulator block.
 METRO_NOALLOC
 void ConvRowRangeBlocked(const float* in_d, const float* w_d,
-                         const float* bias_d, const ConvDims& d, float* out_d,
+                         const float* bias_d, const ConvDims& d,
+                         const ConvEpilogue& e, float* out_d,
                          std::int64_t row_begin, std::int64_t row_end) {
   assert(d.cout <= kConvAccChannels);
   const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
@@ -391,15 +497,37 @@ void ConvRowRangeBlocked(const float* in_d, const float* w_d,
           }
         }
       }
+      const float* res =
+          e.residual ? &e.residual[(std::size_t(r) * d.ow + ox) * d.cout]
+                     : nullptr;
+      for (int oc = 0; oc < d.cout; ++oc) ApplyEpilogue(acc[oc], e, res, oc);
       std::memcpy(&out_row[std::size_t(ox) * d.cout], acc,
                   std::size_t(d.cout) * sizeof(float));
     }
   }
 }
 
+// Widths past kConvAccChannels: the eager kernel, then the epilogue over
+// each pixel it stored.
+METRO_NOALLOC
+void ConvRowRangeWide(const float* in_d, const float* w_d,
+                      const float* bias_d, const ConvDims& d,
+                      const ConvEpilogue& e, float* out_d,
+                      std::int64_t row_begin, std::int64_t row_end) {
+  ConvRowRange(in_d, w_d, bias_d, d, out_d, row_begin, row_end);
+  for (std::int64_t r = row_begin; r < row_end; ++r) {
+    for (int ox = 0; ox < d.ow; ++ox) {
+      const std::size_t at = (std::size_t(r) * d.ow + ox) * d.cout;
+      const float* res = e.residual ? &e.residual[at] : nullptr;
+      float* px = &out_d[at];
+      for (int oc = 0; oc < d.cout; ++oc) ApplyEpilogue(px[oc], e, res, oc);
+    }
+  }
+}
+
 using ConvRowFn = void (*)(const float*, const float*, const float*,
-                           const ConvDims&, float*, std::int64_t,
-                           std::int64_t);
+                           const ConvDims&, const ConvEpilogue&, float*,
+                           std::int64_t, std::int64_t);
 
 // ConvRows at the baseline width: 4 lanes (SSE2), or the scalar kernel
 // where __SSE2__ is not defined.
@@ -407,12 +535,12 @@ template <int kCout>
 METRO_NOALLOC
 void ConvRowRangeBaseline(const float* in_d, const float* w_d,
                           const float* bias_d, const ConvDims& d,
-                          float* out_d, std::int64_t row_begin,
-                          std::int64_t row_end) {
+                          const ConvEpilogue& e, float* out_d,
+                          std::int64_t row_begin, std::int64_t row_end) {
 #if defined(__SSE2__)
-  ConvRows<4, kCout>(in_d, w_d, bias_d, d, out_d, row_begin, row_end);
+  ConvRows<4, kCout>(in_d, w_d, bias_d, d, e, out_d, row_begin, row_end);
 #else
-  ConvRows<1, kCout>(in_d, w_d, bias_d, d, out_d, row_begin, row_end);
+  ConvRows<1, kCout>(in_d, w_d, bias_d, d, e, out_d, row_begin, row_end);
 #endif
 }
 
@@ -424,9 +552,9 @@ template <int kCout>
 METRO_NOALLOC
 [[gnu::target("avx")]] void ConvRowRangeAvx(
     const float* in_d, const float* w_d, const float* bias_d,
-    const ConvDims& d, float* out_d, std::int64_t row_begin,
-    std::int64_t row_end) {
-  ConvRows<8, kCout>(in_d, w_d, bias_d, d, out_d, row_begin, row_end);
+    const ConvDims& d, const ConvEpilogue& e, float* out_d,
+    std::int64_t row_begin, std::int64_t row_end) {
+  ConvRows<8, kCout>(in_d, w_d, bias_d, d, e, out_d, row_begin, row_end);
 }
 #endif
 
@@ -450,7 +578,7 @@ ConvRowFn PickConvRowFn(int cout, int lanes) {
     case 24: return ConvRowFnAt<24>(lanes);
     case 32: return ConvRowFnAt<32>(lanes);
     default: return cout <= kConvAccChannels ? ConvRowRangeBlocked
-                                             : ConvRowRange;
+                                             : ConvRowRangeWide;
   }
 }
 
@@ -544,9 +672,10 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weights,
 METRO_NOALLOC
 void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
                        const Tensor& bias, int stride, int pad,
-                       const TensorView& out, ThreadPool* pool) {
+                       const TensorView& out, ThreadPool* pool,
+                       const ConvEpilogue& epilogue) {
   detail::Conv2dForwardIntoAtLanes(detail::ConvKernelLanes(), input, weights,
-                                   bias, stride, pad, out, pool);
+                                   bias, stride, pad, out, pool, epilogue);
 }
 
 namespace detail {
@@ -567,7 +696,7 @@ METRO_NOALLOC
 void Conv2dForwardIntoAtLanes(int lanes, const TensorView& input,
                               const Tensor& weights, const Tensor& bias,
                               int stride, int pad, const TensorView& out,
-                              ThreadPool* pool) {
+                              ThreadPool* pool, const ConvEpilogue& epilogue) {
   assert(input.rank() == 4 && weights.rank() == 4 && out.rank() == 4);
   assert(weights.dim(2) == input.dim(3));
   assert(bias.empty() || int(bias.size()) == weights.dim(3));
@@ -575,6 +704,8 @@ void Conv2dForwardIntoAtLanes(int lanes, const TensorView& input,
   const ConvDims d = MakeConvDims(input.shape(), weights, stride, pad);
   assert(out.dim(0) == d.n && out.dim(1) == d.oh && out.dim(2) == d.ow &&
          out.dim(3) == d.cout);
+  assert(epilogue.residual == nullptr ||
+         epilogue.residual != out.data().data());
 
   const float* in_d = input.data().data();
   const float* w_d = weights.data().data();
@@ -591,7 +722,7 @@ void Conv2dForwardIntoAtLanes(int lanes, const TensorView& input,
   const ConvRowFn row_fn = PickConvRowFn(d.cout, lanes);
   ParallelFor(pool, 0, rows, grain,
               [&](std::int64_t lo, std::int64_t hi) {
-                row_fn(in_d, w_d, bias_d, d, out_d, lo, hi);
+                row_fn(in_d, w_d, bias_d, d, epilogue, out_d, lo, hi);
               });
 }
 
@@ -1041,15 +1172,6 @@ void BatchNormInferenceInto(const TensorView& x, std::span<const float> scale,
 #endif
     for (; ch < c; ++ch) orow[ch] = xr[ch] * scale[ch] + shift[ch];
   }
-}
-
-METRO_NOALLOC
-void AddInto(const TensorView& a, const TensorView& b, const TensorView& out) {
-  assert(a.size() == b.size() && a.size() == out.size());
-  const std::span<float> ad = a.data();
-  const std::span<float> bd = b.data();
-  const std::span<float> od = out.data();
-  for (std::size_t i = 0; i < ad.size(); ++i) od[i] = ad[i] + bd[i];
 }
 
 }  // namespace metro::tensor

@@ -98,11 +98,33 @@ float MaxProb(std::span<const float> probs);
 // output row, never the arithmetic inside it. The in-place variants allow
 // `out` to alias `x`.
 
+/// The activation a ConvEpilogue applies: ReLU as `v < 0 ? 0 : v` (the
+/// eager std::max(v, 0.0f)), LeakyReLU as `v < 0 ? v * alpha : v`.
+enum class ConvAct { kNone, kRelu, kLeakyRelu };
+
+/// The layers after a convolution that Conv2dForwardInto applies to each
+/// output pixel while it is still in registers, in the eager layer order and
+/// each operation rounded on its own: `v * scale[c]`, then `+ shift[c]` (a
+/// BatchNorm's folded affine), then `+ residual`, then the activation.
+/// Every part is optional and the default does nothing. There is no
+/// identity form: scale 1 and shift 0 would turn -0 into +0.
+struct ConvEpilogue {
+  const float* scale = nullptr;  ///< cout floats; null: no affine
+  const float* shift = nullptr;  ///< cout floats, with `scale`
+  /// Conv-output-shaped addend. Never `out`: the kernel may compute an
+  /// output pixel twice, and would then add the residual twice.
+  const float* residual = nullptr;
+  ConvAct act = ConvAct::kNone;
+  float alpha = 0.0f;  ///< kLeakyRelu's negative slope
+};
+
 /// Conv2dForward into `out` (shape must match the conv output shape),
-/// parallelized over batch × output rows when `pool` is given.
+/// parallelized over batch × output rows when `pool` is given, with
+/// `epilogue` applied to every output pixel.
 void Conv2dForwardInto(const TensorView& input, const Tensor& weights,
                        const Tensor& bias, int stride, int pad,
-                       const TensorView& out, ThreadPool* pool = nullptr);
+                       const TensorView& out, ThreadPool* pool = nullptr,
+                       const ConvEpilogue& epilogue = {});
 
 namespace detail {
 
@@ -115,7 +137,8 @@ int ConvKernelLanes();
 void Conv2dForwardIntoAtLanes(int lanes, const TensorView& input,
                               const Tensor& weights, const Tensor& bias,
                               int stride, int pad, const TensorView& out,
-                              ThreadPool* pool = nullptr);
+                              ThreadPool* pool = nullptr,
+                              const ConvEpilogue& epilogue = {});
 
 }  // namespace detail
 
@@ -154,8 +177,5 @@ void BatchNormFoldScaleShift(std::span<const float> gamma,
 void BatchNormInferenceInto(const TensorView& x, std::span<const float> scale,
                             std::span<const float> shift,
                             const TensorView& out);
-
-/// Adds a + b elementwise into `out` (any operand may alias `out`).
-void AddInto(const TensorView& a, const TensorView& b, const TensorView& out);
 
 }  // namespace metro::tensor

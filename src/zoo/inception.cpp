@@ -182,27 +182,24 @@ void InceptionBlock::ForwardInto(const nn::TensorView& x,
     Layer::ForwardInto(x, out, ctx);
     return;
   }
-  // Each branch computes into block-local scratch (activations run in
-  // place), then the four results interleave into `out`. The session rewinds
-  // the scratch after this layer returns.
+  // Each branch computes into block-local scratch, every conv with its ReLU
+  // in the kernel's epilogue, then the four results interleave into `out`.
+  // The session rewinds the scratch after this layer returns.
+  nn::ConvTail relu;
+  relu.epilogue.act = tensor::ConvAct::kRelu;
   const Shape& in = x.shape();
   TensorView y1 = ctx.scratch->AllocView(b1_.OutputShape(in));
-  b1_.ForwardInto(x, y1, ctx);
-  tensor::ReluInto(y1, y1);
+  b1_.ForwardInto(x, y1, ctx, relu);
 
   TensorView r2 = ctx.scratch->AllocView(b2_reduce_.OutputShape(in));
-  b2_reduce_.ForwardInto(x, r2, ctx);
-  tensor::ReluInto(r2, r2);
+  b2_reduce_.ForwardInto(x, r2, ctx, relu);
   TensorView y2 = ctx.scratch->AllocView(b2_.OutputShape(r2.shape()));
-  b2_.ForwardInto(r2, y2, ctx);
-  tensor::ReluInto(y2, y2);
+  b2_.ForwardInto(r2, y2, ctx, relu);
 
   TensorView r3 = ctx.scratch->AllocView(b3_reduce_.OutputShape(in));
-  b3_reduce_.ForwardInto(x, r3, ctx);
-  tensor::ReluInto(r3, r3);
+  b3_reduce_.ForwardInto(x, r3, ctx, relu);
   TensorView y3 = ctx.scratch->AllocView(b3_.OutputShape(r3.shape()));
-  b3_.ForwardInto(r3, y3, ctx);
-  tensor::ReluInto(y3, y3);
+  b3_.ForwardInto(r3, y3, ctx, relu);
 
   Shape padded_shape = in;
   padded_shape[1] += 2;
@@ -213,8 +210,7 @@ void InceptionBlock::ForwardInto(const nn::TensorView& x,
       ctx.scratch->AllocView(b4_pool_.OutputShape(padded_shape));
   b4_pool_.ForwardInto(padded, pooled, ctx);
   TensorView y4 = ctx.scratch->AllocView(b4_.OutputShape(pooled.shape()));
-  b4_.ForwardInto(pooled, y4, ctx);
-  tensor::ReluInto(y4, y4);
+  b4_.ForwardInto(pooled, y4, ctx, relu);
 
   ConcatChannelsInto({y1, y2, y3, y4}, out);
 }

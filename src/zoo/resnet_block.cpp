@@ -1,5 +1,6 @@
 #include "zoo/resnet_block.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace metro::zoo {
@@ -104,26 +105,17 @@ void ResNetBlock::ForwardInto(const nn::TensorView& x,
     Layer::ForwardInto(x, out, ctx);
     return;
   }
-  // Main path: conv1 -> bn1 -> relu runs in block-local scratch; conv2 writes
-  // straight into `out` (distinct from `x` by the engine's ping-pong rule),
-  // then bn2 / the residual add / the final relu execute in place on `out`.
-  const Shape mid_shape = conv1_.OutputShape(x.shape());
-  TensorView mid = ctx.scratch->AllocView(mid_shape);
-  conv1_.ForwardInto(x, mid, ctx);
-  bn1_.ForwardInto(mid, mid, ctx);
-  tensor::ReluInto(mid, mid);
-  conv2_.ForwardInto(mid, out, ctx);
-  bn2_.ForwardInto(out, out, ctx);
-
+  // The shortcut first, cout channels wide: x itself, or a map in block
+  // scratch. Never `out`, which conv2 below writes while it reads this.
+  const float* residual = x.data().data();
   switch (shortcut_) {
     case ShortcutKind::kConv: {
       TensorView sc = ctx.scratch->AllocView(out.shape());
       conv_sc_->ForwardInto(x, sc, ctx);
-      tensor::AddInto(out, sc, out);
+      residual = sc.data().data();
       break;
     }
     case ShortcutKind::kIdentity:
-      tensor::AddInto(out, x, out);
       break;
     case ShortcutKind::kMaxPool: {
       TensorView pooled = x;
@@ -131,26 +123,33 @@ void ResNetBlock::ForwardInto(const nn::TensorView& x,
         pooled = ctx.scratch->AllocView(pool_sc_->OutputShape(x.shape()));
         pool_sc_->ForwardInto(x, pooled, ctx);
       }
-      if (cout_ == cin_) {
-        tensor::AddInto(out, pooled, out);
-      } else {
-        // Add the pooled channels; the zero-padded tail contributes nothing.
+      residual = pooled.data().data();
+      if (cout_ != cin_) {
+        // The eager zero padding: the pad channels add +0.0f, which turns a
+        // -0 sum into +0 exactly as the eager `main += padded` does.
+        const std::span<float> padded = ctx.scratch->Alloc(out.size());
         const float* pd = pooled.data().data();
-        float* od = out.data().data();
         const std::size_t pix = pooled.size() / std::size_t(cin_);
         for (std::size_t p = 0; p < pix; ++p) {
-          float* opx = &od[p * std::size_t(cout_)];
-          const float* ppx = &pd[p * std::size_t(cin_)];
-          for (int ch = 0; ch < cin_; ++ch) opx[ch] += ppx[ch];
-          // Eager adds the zero padding too; keep the identical += 0.0f so
-          // signed zeros normalize the same way (bit-exactness contract).
-          for (int ch = cin_; ch < cout_; ++ch) opx[ch] += 0.0f;
+          float* dst = &padded[p * std::size_t(cout_)];
+          std::copy_n(&pd[p * std::size_t(cin_)], cin_, dst);
+          std::fill(dst + cin_, dst + cout_, 0.0f);
         }
+        residual = padded.data();
       }
       break;
     }
   }
-  tensor::ReluInto(out, out);
+  // Main path: conv1 -> bn1 -> relu in one pass into block scratch, then
+  // conv2 -> bn2 -> + shortcut -> relu in one pass into `out`.
+  TensorView mid = ctx.scratch->AllocView(conv1_.OutputShape(x.shape()));
+  nn::ConvTail tail;
+  tail.epilogue.act = tensor::ConvAct::kRelu;
+  tail.bn = &bn1_;
+  conv1_.ForwardInto(x, mid, ctx, tail);
+  tail.bn = &bn2_;
+  tail.epilogue.residual = residual;
+  conv2_.ForwardInto(mid, out, ctx, tail);
 }
 
 Tensor ResNetBlock::Backward(const Tensor& grad_out) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -296,6 +297,320 @@ TEST(InferenceParityTest, BatchNormInferenceIntoIsBitExactOnSpecialValues) {
     tensor::BatchNormInferenceInto(view, scale, shift, view);
     ExpectBitExact(eager, in_place);
   }
+}
+
+// A value DrawSpecialOrUniform draws, except NaN, and except +-inf too
+// unless `inf` is set. Where two NaNs meet in one operation, IEEE 754 does
+// not say whose payload the result carries: x86 keeps the first operand's,
+// and the compiler may swap the operands of an add or a multiply, in the
+// eager loops as in the kernels. So the sweeps below let NaN (or an inf
+// that can make one) enter each output's chain of operations at one place
+// only; a NaN that arises then travels alone, and its bits are defined.
+float DrawNonNan(Rng& rng, bool inf) {
+  float v;
+  do {
+    v = DrawSpecialOrUniform(rng);
+  } while (std::isnan(v) || (!inf && std::isinf(v)));
+  return v;
+}
+
+Tensor NonNanInput(const nn::Shape& shape, Rng& rng, bool inf) {
+  Tensor x(shape);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = DrawNonNan(rng, inf);
+  return x;
+}
+
+// The eager layers a ConvEpilogue stands for, one after the other on the
+// eager conv's output: BatchNorm's inference loop, the residual add, then
+// the activation.
+Tensor EagerEpilogue(Tensor y, const std::vector<float>& scale,
+                     const std::vector<float>& shift, const Tensor* residual,
+                     tensor::ConvAct act, float alpha) {
+  const std::size_t c = std::size_t(y.dim(3));
+  if (!scale.empty()) {
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      y[i] = y[i] * scale[i % c] + shift[i % c];
+    }
+  }
+  if (residual) y += *residual;
+  switch (act) {
+    case tensor::ConvAct::kNone: return y;
+    case tensor::ConvAct::kRelu: return tensor::ReluForward(y);
+    case tensor::ConvAct::kLeakyRelu: return tensor::LeakyReluForward(y, alpha);
+  }
+  return y;
+}
+
+// Every epilogue combination on every kernel width: each zoo width, 20 (the
+// generic kernel) and 136 (past the generic kernel's accumulator block), at
+// both lane widths and on a 2-thread pool. The affine factors, the
+// residual and the inputs carry the values the selects and the separate
+// roundings must keep: +-0 (a -0 shift, zeroed row bands), denormals, and
+// NaN and +-inf in one epilogue operand per case (see DrawNonNan).
+TEST(InferenceParityTest, Conv2dEpilogueIsBitExactOnSpecialValues) {
+  Rng rng(1601);
+  ThreadPool pool(2);
+  const int lanes = tensor::detail::ConvKernelLanes();
+  const int kCouts[] = {4, 8, 12, 13, 16, 20, 24, 32, 136};
+  const tensor::ConvAct kActs[] = {tensor::ConvAct::kNone,
+                                   tensor::ConvAct::kRelu,
+                                   tensor::ConvAct::kLeakyRelu};
+  EXPERIMENT_REPEAT {
+    const int k = rng.Bernoulli(0.5) ? 3 : 1;
+    const int stride = int(rng.UniformInt(1, 2));
+    const int pad = int(rng.UniformInt(0, 1));
+    const int n = int(rng.UniformInt(1, 6));
+    const int cin = int(rng.UniformInt(1, 9));
+    const int cout = kCouts[rng.UniformU64(std::size(kCouts))];
+    const int min_hw = std::max(1, k - 2 * pad);
+    const int h = int(rng.UniformInt(min_hw, min_hw + 7));
+    const int w = int(rng.UniformInt(min_hw, min_hw + 11));
+
+    Tensor x = NonNanInput({n, h, w, cin}, rng, /*inf=*/false);
+    if (rng.Bernoulli(0.5)) {
+      const int band = int(rng.UniformInt(1, std::min(h, 3)));
+      const int y0 = int(rng.UniformInt(0, h - band));
+      const int b = int(rng.UniformInt(0, n - 1));
+      for (int y = y0; y < y0 + band; ++y) {
+        for (int i = 0; i < w * cin; ++i) {
+          x[(std::size_t(b) * h + y) * w * cin + i] =
+              rng.Bernoulli(0.5) ? 0.0f : -0.0f;
+        }
+      }
+    }
+    const Tensor wts = RandomInput({k, k, cin, cout}, rng);
+    Tensor bias({cout});
+    for (int oc = 0; oc < cout; ++oc) {
+      bias[oc] = rng.Bernoulli(0.25) ? -0.0f : rng.UniformFloat(-1.0f, 1.0f);
+    }
+
+    const tensor::ConvAct act = kActs[rng.UniformU64(std::size(kActs))];
+    const float alpha = rng.Bernoulli(0.5) ? 0.1f : rng.UniformFloat(0, 1);
+    // Which of scale, shift and residual may hold NaN and +-inf.
+    const std::uint64_t hot = rng.UniformU64(3);
+    const auto draw = [&](std::uint64_t operand) {
+      return operand == hot ? DrawSpecialOrUniform(rng)
+                            : DrawNonNan(rng, /*inf=*/false);
+    };
+    std::vector<float> scale, shift;
+    if (rng.Bernoulli(0.7)) {
+      for (int oc = 0; oc < cout; ++oc) {
+        scale.push_back(rng.Bernoulli(0.2) ? draw(0)
+                                           : rng.UniformFloat(-2.0f, 2.0f));
+        shift.push_back(rng.Bernoulli(0.3) ? -0.0f : draw(1));
+      }
+    }
+    const Tensor eager_conv = tensor::Conv2dForward(x, wts, bias, stride, pad);
+    Tensor residual;
+    const bool with_residual = rng.Bernoulli(0.5);
+    if (with_residual) {
+      residual = Tensor(eager_conv.shape());
+      for (std::size_t i = 0; i < residual.size(); ++i) residual[i] = draw(2);
+    }
+
+    tensor::ConvEpilogue epilogue;
+    if (!scale.empty()) {
+      epilogue.scale = scale.data();
+      epilogue.shift = shift.data();
+    }
+    epilogue.residual = with_residual ? residual.data().data() : nullptr;
+    epilogue.act = act;
+    epilogue.alpha = alpha;
+
+    SCOPED_TRACE(::testing::Message()
+                 << "n=" << n << " h=" << h << " w=" << w << " cin=" << cin
+                 << " cout=" << cout << " k=" << k << " stride=" << stride
+                 << " pad=" << pad << " affine=" << !scale.empty()
+                 << " residual=" << with_residual << " act=" << int(act)
+                 << " repetition=" << repetition);
+    const Tensor eager =
+        EagerEpilogue(eager_conv, scale, shift,
+                      with_residual ? &residual : nullptr, act, alpha);
+    Tensor out(eager.shape());
+    tensor::Conv2dForwardInto(TensorView::OfConst(x), wts, bias, stride, pad,
+                              TensorView(out), &pool, epilogue);
+    ExpectBitExact(eager, out);
+    for (const int at : {4, 8}) {
+      if (at > lanes) continue;
+      SCOPED_TRACE(::testing::Message() << "lanes=" << at);
+      Tensor out_at(eager.shape());
+      tensor::detail::Conv2dForwardIntoAtLanes(
+          at, TensorView::OfConst(x), wts, bias, stride, pad,
+          TensorView(out_at), nullptr, epilogue);
+      ExpectBitExact(eager, out_at);
+    }
+  }
+}
+
+// Draws BatchNorm parameters and running statistics, -0 betas included.
+void RandomizeBatchNorm(nn::BatchNorm& bn, Rng& rng) {
+  Tensor& gamma = bn.Params()[0]->value;
+  Tensor& beta = bn.Params()[1]->value;
+  Tensor& mean = *bn.Buffers()[0];
+  Tensor& var = *bn.Buffers()[1];
+  for (std::size_t ch = 0; ch < gamma.size(); ++ch) {
+    gamma[ch] = rng.UniformFloat(-2.0f, 2.0f);
+    beta[ch] = rng.Bernoulli(0.25) ? -0.0f : rng.UniformFloat(-1.0f, 1.0f);
+    mean[ch] = rng.UniformFloat(-1.0f, 1.0f);
+    var[ch] = rng.UniformFloat(0.0f, 2.0f);
+  }
+}
+
+// The planner's fusion against the eager layer stack: conv -> [BN] ->
+// [ReLU | LeakyReLU | Sigmoid] -> [2x2 pool, odd heights too] -> conv, so
+// the fused step feeds a second conv and the sigmoid ends a chain early.
+// The inputs hold +-inf, whose sums make NaNs, but no NaN of their own.
+TEST(InferenceParityTest, PlannedConvChainsMatchEager) {
+  Rng rng(1602);
+  ThreadPool pool(2);
+  const int kCouts[] = {4, 8, 12, 13, 16, 20, 24, 32};
+  EXPERIMENT_REPEAT {
+    const int cin = int(rng.UniformInt(1, 8));
+    const int cout = kCouts[rng.UniformU64(std::size(kCouts))];
+    const int k = rng.Bernoulli(0.5) ? 3 : 1;
+    const int stride = int(rng.UniformInt(1, 2));
+    const int pad = k == 3 ? int(rng.UniformInt(0, 1)) : 0;
+    const int n = int(rng.UniformInt(1, 6));
+    // At least two conv output rows and columns for the pool.
+    const int h = int(rng.UniformInt(5, 11));
+    const int w = int(rng.UniformInt(5, 11));
+    nn::Sequential model;
+    model.Emplace<nn::Conv2d>(cin, cout, k, stride, pad, rng);
+    if (rng.Bernoulli(0.7)) {
+      model.Emplace<nn::BatchNorm>(cout);
+      RandomizeBatchNorm(
+          static_cast<nn::BatchNorm&>(model.layer(model.num_layers() - 1)),
+          rng);
+    }
+    switch (rng.UniformU64(4)) {
+      case 0: model.Emplace<nn::Activation>(nn::ActKind::kRelu); break;
+      case 1:
+        model.Emplace<nn::Activation>(nn::ActKind::kLeakyRelu,
+                                      rng.UniformFloat(0.0f, 1.0f));
+        break;
+      case 2: model.Emplace<nn::Activation>(nn::ActKind::kSigmoid); break;
+      default: break;
+    }
+    if (rng.Bernoulli(0.5)) model.Emplace<nn::MaxPool2d>(2, 2);
+    model.Emplace<nn::Conv2d>(cout, 4, 1, 1, 0, rng);
+    const Tensor x = NonNanInput({n, h, w, cin}, rng, /*inf=*/true);
+
+    SCOPED_TRACE(::testing::Message() << "layers=" << model.num_layers()
+                                      << " n=" << n << " h=" << h
+                                      << " cout=" << cout
+                                      << " repetition=" << repetition);
+    const Tensor eager = model.Forward(x, /*training=*/false);
+    Workspace arena;
+    nn::InferenceSession session(model, x.shape(), arena,
+                                 rng.Bernoulli(0.5) ? &pool : nullptr);
+    ExpectBitExact(eager, session.Run(TensorView::OfConst(x)));
+  }
+}
+
+// The residual epilogue from each shortcut: a 1x1 conv's map, the block
+// input itself, and a max-pooled input whose zero-padded channels add +0.
+// The inputs hold +-inf but no NaN, as above.
+TEST(InferenceParityTest, ResNetBlockFusedTailIsBitExactOnSpecialValues) {
+  Rng rng(1603);
+  ThreadPool pool(2);
+  EXPERIMENT_REPEAT {
+    const auto kind = static_cast<zoo::ShortcutKind>(rng.UniformU64(3));
+    const bool identity = kind == zoo::ShortcutKind::kIdentity;
+    const int cin = int(rng.UniformInt(1, 8));
+    const int cout = identity ? cin : cin + int(rng.UniformInt(0, 9));
+    const int stride = identity ? 1 : int(rng.UniformInt(1, 2));
+    const int n = int(rng.UniformInt(1, 6));
+    int h = int(rng.UniformInt(2, 9)), w = int(rng.UniformInt(2, 9));
+    if (kind == zoo::ShortcutKind::kMaxPool && stride == 2) {
+      h += h % 2;  // the pooled shortcut matches conv1 on even sizes only
+      w += w % 2;
+    }
+    zoo::ResNetBlock block(cin, cout, stride, kind, rng);
+    for (Tensor* buf : block.Buffers()) {
+      for (std::size_t i = 0; i < buf->size(); ++i) {
+        (*buf)[i] = rng.UniformFloat(0.0f, 1.0f);  // means and variances
+      }
+    }
+    for (nn::Param* param : block.Params()) {
+      if (param->name == "beta" || param->name == "b") {
+        for (std::size_t i = 0; i < param->value.size(); ++i) {
+          if (rng.Bernoulli(0.3)) param->value[i] = -0.0f;
+        }
+      }
+    }
+    const Tensor x = NonNanInput({n, h, w, cin}, rng, /*inf=*/true);
+
+    SCOPED_TRACE(::testing::Message()
+                 << "shortcut=" << int(kind) << " cin=" << cin
+                 << " cout=" << cout << " stride=" << stride << " n=" << n
+                 << " h=" << h << " w=" << w << " repetition=" << repetition);
+    const Tensor eager = block.Forward(x, /*training=*/false);
+    Workspace arena;
+    nn::InferenceSession session(std::vector<nn::Layer*>{&block}, x.shape(),
+                                 arena, rng.Bernoulli(0.5) ? &pool : nullptr);
+    ExpectBitExact(eager, session.Run(TensorView::OfConst(x)));
+  }
+}
+
+// What the planner fuses: each conv absorbs the BatchNorm and ReLU or
+// LeakyReLU right after it, and nothing past another layer.
+TEST(InferenceParityTest, PlanFusesConvChains) {
+  Rng rng(1604);
+  zoo::DetectorConfig config;
+  zoo::SplitDetector det(config, rng);
+  const nn::InferencePlan stem = nn::InferencePlan::For(
+      det.stem_net(),
+      {1, config.image_size, config.image_size, config.channels});
+  // conv+bn+lrelu, pool, conv+bn+lrelu, pool: four steps for eight layers.
+  ASSERT_EQ(det.stem_net().num_layers(), 8u);
+  ASSERT_EQ(stem.steps().size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto& step = stem.steps()[i];
+    EXPECT_EQ(step.kind, nn::InferencePlan::ExecKind::kCompute);
+    EXPECT_EQ(step.absorbed, i % 2 == 0 ? 2 : 0);
+    EXPECT_EQ(dynamic_cast<nn::Conv2d*>(step.layer) != nullptr, i % 2 == 0);
+  }
+  EXPECT_EQ(stem.steps()[0].tail.epilogue.act, tensor::ConvAct::kLeakyRelu);
+  EXPECT_EQ(stem.output_shape(), det.stem_net().OutputShape(
+                                     stem.input_shape()));
+
+  const nn::Shape stem_out = stem.output_shape();
+  EXPECT_EQ(nn::InferencePlan::For(det.full_head_net(), stem_out)
+                .steps()
+                .size(),
+            4u);  // 8 layers
+  EXPECT_EQ(nn::InferencePlan::For(det.tiny_head_net(), stem_out)
+                .steps()
+                .size(),
+            2u);  // conv+lrelu, conv
+
+  // Broken chains: a dropout between conv and BN stops the BN, a sigmoid
+  // is not an epilogue activation, and a BN after the activation is not
+  // the conv's.
+  nn::Sequential broken;
+  broken.Emplace<nn::Conv2d>(3, 4, 3, 1, 1, rng)
+      .Emplace<nn::Dropout>(0.5f, rng)
+      .Emplace<nn::BatchNorm>(4)
+      .Emplace<nn::Conv2d>(4, 4, 3, 1, 1, rng)
+      .Emplace<nn::BatchNorm>(4)
+      .Emplace<nn::Activation>(nn::ActKind::kSigmoid)
+      .Emplace<nn::Conv2d>(4, 4, 1, 1, 0, rng)
+      .Emplace<nn::Activation>(nn::ActKind::kRelu)
+      .Emplace<nn::BatchNorm>(4);
+  const nn::InferencePlan plan = nn::InferencePlan::For(broken, {2, 6, 6, 3});
+  std::vector<int> absorbed;
+  for (const auto& step : plan.steps()) {
+    if (dynamic_cast<nn::Conv2d*>(step.layer)) {
+      absorbed.push_back(step.absorbed);
+    }
+  }
+  EXPECT_EQ(absorbed, (std::vector<int>{0, 1, 1}));
+  EXPECT_EQ(plan.steps().size(), 7u);
+
+  Tensor x = NonNanInput({2, 6, 6, 3}, rng, /*inf=*/true);
+  Workspace arena;
+  nn::InferenceSession session(broken, x.shape(), arena);
+  ExpectBitExact(broken.Forward(x, false), session.Run(TensorView::OfConst(x)));
 }
 
 // ------------------------------------------------------------ single layers

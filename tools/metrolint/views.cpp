@@ -257,7 +257,7 @@ Derived DeriveOwner(std::string_view text, std::size_t b, std::size_t e,
 // references allowed, pointers skipped) and `auto v = <producer call>` in
 // source order, so later initializers can alias earlier locals.
 std::vector<ViewLocal> CollectViewLocals(
-    const Func& f, const std::string& code,
+    const std::string& code,
     const std::vector<std::pair<std::size_t, std::size_t>>& segs,
     const std::vector<VT>& vts, const Producers& prod) {
   std::vector<ViewLocal> out;
@@ -428,7 +428,7 @@ void RunViewEscape(const Program& prog, const Config& cfg,
     const std::string& code = cit->second;
     const auto segs = SegsOf(f);
     const std::vector<ViewLocal> locals =
-        CollectViewLocals(f, code, segs, vts, prod);
+        CollectViewLocals(code, segs, vts, prod);
 
     // (b) returning a view over a local owner. Parameters are not locals —
     // `TensorView Cut(Workspace& ws) { return ws.AllocView(n); }` is the
@@ -656,7 +656,7 @@ void RunInvalidation(const Program& prog, const Config& cfg,
     const std::string& code = cit->second;
     const auto segs = SegsOf(f);
     const std::vector<ViewLocal> locals =
-        CollectViewLocals(f, code, segs, vts, prod);
+        CollectViewLocals(code, segs, vts, prod);
     if (locals.empty()) continue;
 
     // Invalidation events in this body, in source order.
