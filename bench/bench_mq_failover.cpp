@@ -45,6 +45,7 @@
 
 #include "infer_json.h"
 #include "mq/broker_cluster.h"
+#include "obs/trace.h"
 #include "resilience/chaos.h"
 #include "util/bytes.h"
 #include "util/clock.h"
@@ -178,14 +179,10 @@ ScenarioResult RunScenario(bool kill_leader) {
   result.throughput_per_s =
       elapsed_s > 0 ? double(result.acked) / elapsed_s : 0;
 
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  if (!latencies_ms.empty()) {
-    double sum = 0;
-    for (const double v : latencies_ms) sum += v;
-    result.mean_ms = sum / double(latencies_ms.size());
-    result.p99_ms =
-        latencies_ms[std::size_t(double(latencies_ms.size() - 1) * 0.99)];
-  }
+  const obs::LatencySummary latency =
+      obs::SummarizeLatency(std::move(latencies_ms));
+  result.mean_ms = latency.mean;
+  result.p99_ms = latency.p99;
   result.failovers = cluster.metrics().GetCounter("mq.failovers").value();
 
   AuditDelivery(cluster, acked_values, result);

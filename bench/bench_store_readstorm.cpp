@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "infer_json.h"
+#include "obs/trace.h"
 #include "store/lsm.h"
 #include "util/clock.h"
 #include "util/status.h"
@@ -312,18 +313,14 @@ StormResult RunStorm(Engine& engine, const ZipfSampler& zipf,
   std::vector<double> all;
   all.reserve(std::size_t(kReaders) * kReadsPerReader);
   for (auto& lat : latencies_us) all.insert(all.end(), lat.begin(), lat.end());
-  std::sort(all.begin(), all.end());
 
+  const obs::LatencySummary read = obs::SummarizeLatency(std::move(all));
   StormResult r;
-  r.reads = std::int64_t(all.size());
+  r.reads = read.count;
   r.writes = writes.load();
-  if (!all.empty()) {
-    r.read_p50_us = all[all.size() / 2];
-    r.read_p99_us = all[std::size_t(double(all.size() - 1) * 0.99)];
-    double sum = 0;
-    for (const double v : all) sum += v;
-    r.read_mean_us = sum / double(all.size());
-  }
+  r.read_p50_us = read.p50;
+  r.read_p99_us = read.p99;
+  r.read_mean_us = read.mean;
   if (read_window_s > 0) {
     r.reads_per_s = double(r.reads) / read_window_s;
     r.writes_per_s = double(r.writes) / read_window_s;

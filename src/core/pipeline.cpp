@@ -1,7 +1,5 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
-
 #include "util/bytes.h"
 #include "util/logging.h"
 
@@ -294,14 +292,9 @@ PipelineStats CityPipeline::Stats() const {
       e2e_ms.push_back(double(t.total()) / double(kMillisecond));
     }
   }
-  if (!e2e_ms.empty()) {
-    std::sort(e2e_ms.begin(), e2e_ms.end());
-    double sum = 0;
-    for (const double v : e2e_ms) sum += v;
-    s.mean_latency_ms = sum / double(e2e_ms.size());
-    s.p99_latency_ms =
-        e2e_ms[std::size_t(double(e2e_ms.size() - 1) * 0.99)];
-  }
+  const obs::LatencySummary e2e = obs::SummarizeLatency(std::move(e2e_ms));
+  s.mean_latency_ms = e2e.mean;
+  s.p99_latency_ms = e2e.p99;
   return s;
 }
 

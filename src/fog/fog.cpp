@@ -1,6 +1,5 @@
 #include "fog/fog.h"
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <unordered_map>
@@ -97,33 +96,29 @@ void Summarize(PipelineResult& result, FogTopology& topology,
   result.traffic.server_to_cloud =
       after.server_to_cloud - before.server_to_cloud;
 
-  std::vector<TimeNs> latencies;
+  std::vector<double> latencies_ms;
   for (const ItemOutcome& o : result.outcomes) {
     if (o.dropped) {
       ++result.items_dropped;
       continue;
     }
+    // A hard-failed item still made its link-send retries before giving up.
+    result.send_retries += o.retries;
     if (o.failed) {
       ++result.items_failed;
       continue;
     }
-    result.send_retries += o.retries;
     if (o.degraded) {
       ++result.items_degraded;
     } else {
       (o.offloaded ? result.items_offloaded : result.items_local) += 1;
     }
-    latencies.push_back(o.latency);
+    latencies_ms.push_back(double(o.latency) / kMillisecond);
   }
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    double sum = 0;
-    for (const TimeNs l : latencies) sum += double(l);
-    result.mean_latency_ms = sum / double(latencies.size()) / kMillisecond;
-    result.p99_latency_ms =
-        double(latencies[std::size_t(double(latencies.size() - 1) * 0.99)]) /
-        kMillisecond;
-  }
+  const obs::LatencySummary latency =
+      obs::SummarizeLatency(std::move(latencies_ms));
+  result.mean_latency_ms = latency.mean;
+  result.p99_latency_ms = latency.p99;
 }
 
 }  // namespace

@@ -156,10 +156,9 @@ void InferenceSession::Replan(const Shape& input_shape) {
 
 METRO_NOALLOC
 TensorView InferenceSession::Run(const TensorView& input) {
-  bool replanned = false;
   if (input.shape() != plan_.input_shape()) {
     Replan(input.shape());  // cold path: plan + slot storage rebuilt
-    replanned = true;
+    replans_.fetch_add(1, std::memory_order_relaxed);
   }
 
   InferenceContext ctx{arena_, pool_};
@@ -196,11 +195,7 @@ TensorView InferenceSession::Run(const TensorView& input) {
     }
   }
 
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.runs;
-    if (replanned) ++stats_.replans;
-  }
+  runs_.fetch_add(1, std::memory_order_relaxed);
   return *cur;
 }
 
@@ -209,8 +204,10 @@ Tensor InferenceSession::Run(const Tensor& input) {
 }
 
 InferenceSession::Stats InferenceSession::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  Stats stats;
+  stats.runs = runs_.load(std::memory_order_relaxed);
+  stats.replans = replans_.load(std::memory_order_relaxed);
+  return stats;
 }
 
 }  // namespace metro::nn

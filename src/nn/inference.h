@@ -27,13 +27,12 @@
 // (sessions sharing a Workspace must also share that one caller thread);
 // stats() is safe to call concurrently from other threads.
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "nn/sequential.h"
 #include "tensor/workspace.h"
-#include "util/lock_ranks.h"
-#include "util/sync.h"
 #include "util/thread_pool.h"
 
 namespace metro::nn {
@@ -132,10 +131,10 @@ class InferenceSession {
     std::int64_t runs = 0;     ///< completed Run() calls
     std::int64_t replans = 0;  ///< runs that had to re-plan for a new shape
   };
-  Stats stats() const METRO_EXCLUDES(stats_mu_);
+  Stats stats() const;
 
  private:
-  void EnsureSlots() METRO_EXCLUDES(stats_mu_);
+  void EnsureSlots();
   /// Cold path for Run(): rebuilds the plan (and slot storage) for a new
   /// input shape. Allocates; kept out of the METRO_NOALLOC Run body.
   void Replan(const Shape& input_shape);
@@ -149,8 +148,7 @@ class InferenceSession {
   /// nothing; empty for reshape steps over the caller's input.
   std::vector<TensorView> step_views_;
 
-  mutable Mutex stats_mu_{lockrank::kNnInferenceStats, "nn.inference.stats"};
-  Stats stats_ METRO_GUARDED_BY(stats_mu_);
+  std::atomic<std::int64_t> runs_{0}, replans_{0};
 };
 
 }  // namespace metro::nn

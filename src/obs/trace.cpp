@@ -23,10 +23,8 @@ std::optional<std::uint64_t> ParseHex(std::string_view s) {
   return v;
 }
 
-/// Exact linear-interpolation quantile over a sorted sample vector.
+/// Exact linear-interpolation quantile over a non-empty sorted sample.
 double QuantileOf(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  q = std::clamp(q, 0.0, 1.0);
   const double pos = q * double(sorted.size() - 1);
   const std::size_t lo = std::size_t(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
@@ -56,6 +54,20 @@ void AppendJsonString(std::string& out, std::string_view s) {
 }
 
 }  // namespace
+
+LatencySummary SummarizeLatency(std::vector<double> samples) {
+  LatencySummary s;
+  if (samples.empty()) return s;
+  std::sort(samples.begin(), samples.end());
+  s.count = std::int64_t(samples.size());
+  double sum = 0;
+  for (const double v : samples) sum += v;
+  s.mean = sum / double(samples.size());
+  s.p50 = QuantileOf(samples, 0.50);
+  s.p95 = QuantileOf(samples, 0.95);
+  s.p99 = QuantileOf(samples, 0.99);
+  return s;
+}
 
 std::string TraceContext::Serialize() const {
   std::string out;
@@ -198,16 +210,14 @@ std::vector<StageStats> SpanCollector::StageBreakdown() const {
   std::vector<StageStats> out;
   out.reserve(by_stage.size());
   for (auto& [stage, durations] : by_stage) {
-    std::sort(durations.begin(), durations.end());
+    const LatencySummary summary = SummarizeLatency(std::move(durations));
     StageStats st;
     st.stage = stage;
-    st.count = std::int64_t(durations.size());
-    double sum = 0;
-    for (const double d : durations) sum += d;
-    st.mean_ms = sum / double(durations.size());
-    st.p50_ms = QuantileOf(durations, 0.50);
-    st.p95_ms = QuantileOf(durations, 0.95);
-    st.p99_ms = QuantileOf(durations, 0.99);
+    st.count = summary.count;
+    st.mean_ms = summary.mean;
+    st.p50_ms = summary.p50;
+    st.p95_ms = summary.p95;
+    st.p99_ms = summary.p99;
     out.push_back(std::move(st));
   }
   // Critical-path order: stages that accumulate the most total time first.

@@ -77,9 +77,24 @@ struct Span {
   const std::string* FindTag(std::string_view key) const;
 };
 
-/// Per-stage latency aggregate over recorded stage spans; quantiles are
-/// exact (sorted-sample), not bucketed, so stage sums reconcile with
-/// end-to-end latency.
+/// Count, mean and quantiles of a latency sample, in the sample's unit.
+struct LatencySummary {
+  std::int64_t count = 0;
+  double mean = 0;
+  double p50 = 0;
+  double p95 = 0;
+  double p99 = 0;
+};
+
+/// The one latency summary in the tree: every latency quantile comes from
+/// here. Quantiles are exact, interpolating linearly between the two closest
+/// ranks (q * (n - 1)), so they never leave [min, max]; an empty sample
+/// summarizes to zeros.
+LatencySummary SummarizeLatency(std::vector<double> samples);
+
+/// Per-stage latency aggregate over recorded stage spans (SummarizeLatency
+/// over each stage's durations), so stage sums reconcile with end-to-end
+/// latency.
 struct StageStats {
   std::string stage;
   std::int64_t count = 0;

@@ -5,16 +5,11 @@
 
 namespace metro::store {
 
-BlockCache::BlockCache(Config config, MetricsRegistry* metrics) {
+BlockCache::BlockCache(Config config) {
   const std::size_t shards =
       std::bit_ceil(std::clamp<std::size_t>(config.shards, 1, 256));
   shards_ = std::vector<Shard>(shards);
   shard_capacity_ = std::max<std::size_t>(config.capacity_bytes / shards, 1);
-  if (metrics != nullptr) {
-    hit_counter_ = &metrics->GetCounter("store.cache.hit");
-    miss_counter_ = &metrics->GetCounter("store.cache.miss");
-    eviction_counter_ = &metrics->GetCounter("store.cache.eviction");
-  }
 }
 
 std::shared_ptr<const DecodedBlock> BlockCache::Lookup(
@@ -30,13 +25,7 @@ std::shared_ptr<const DecodedBlock> BlockCache::Lookup(
       hit = it->second->block;
     }
   }
-  if (hit) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hit_counter_ != nullptr) hit_counter_->Increment();
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (miss_counter_ != nullptr) miss_counter_->Increment();
-  }
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   return hit;
 }
 
@@ -70,12 +59,7 @@ void BlockCache::Insert(std::uint64_t table_id, std::uint32_t block_index,
     }
   }
   insertions_.fetch_add(1, std::memory_order_relaxed);
-  if (evictions > 0) {
-    evictions_.fetch_add(evictions, std::memory_order_relaxed);
-    if (eviction_counter_ != nullptr) {
-      eviction_counter_->Increment(std::int64_t(evictions));
-    }
-  }
+  if (evictions > 0) evictions_.fetch_add(evictions, std::memory_order_relaxed);
 }
 
 BlockCache::Stats BlockCache::GetStats() const {

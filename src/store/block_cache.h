@@ -14,10 +14,8 @@
 // both the lock-free read path and the compaction write path touch them
 // while holding nothing, or anything, above.
 //
-// Hit/miss/eviction totals are always tracked (lock-free counters) and
-// optionally mirrored into a MetricsRegistry (util/metrics.h,
-// "store.cache.hit" / ".miss" / ".eviction") when one is supplied at
-// construction.
+// Hit/miss/eviction totals are tracked in lock-free counters and read
+// through GetStats().
 
 #include <atomic>
 #include <cstdint>
@@ -28,7 +26,6 @@
 
 #include "store/sstable.h"
 #include "util/lock_ranks.h"
-#include "util/metrics.h"
 #include "util/sync.h"
 
 namespace metro::store {
@@ -49,8 +46,8 @@ class BlockCache {
     std::size_t entries = 0;
   };
 
-  BlockCache() : BlockCache(Config{}, nullptr) {}
-  explicit BlockCache(Config config, MetricsRegistry* metrics = nullptr);
+  BlockCache() : BlockCache(Config{}) {}
+  explicit BlockCache(Config config);
 
   /// Cached block, or null on miss. Promotes the entry to most-recent.
   std::shared_ptr<const DecodedBlock> Lookup(std::uint64_t table_id,
@@ -86,11 +83,10 @@ class BlockCache {
 
   std::size_t shard_capacity_;
   std::vector<Shard> shards_;
-  std::atomic<std::uint64_t> hits_{0}, misses_{0};
-  std::atomic<std::uint64_t> insertions_{0}, evictions_{0};
-  Counter* hit_counter_ = nullptr;
-  Counter* miss_counter_ = nullptr;
-  Counter* eviction_counter_ = nullptr;
+  // Every Lookup bumps a counter and reads shards_; a line of their own
+  // keeps the readers' increments from invalidating shards_.
+  alignas(64) std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0}, insertions_{0}, evictions_{0};
 };
 
 }  // namespace metro::store

@@ -53,10 +53,9 @@ inline constexpr int kDfsCluster = 50;   // Cluster::mu_
 inline constexpr int kDfsDataNode = 52;  // DataNode::mu_
 inline constexpr int kSchedRm = 56;      // ResourceManager::mu_
 
-// dataflow / nn / graph — leaf-ish compute-side locks.
-inline constexpr int kDataflowDataset = 60;   // Dataset::Node::mu
-inline constexpr int kNnInferenceStats = 62;  // InferenceSession::stats_mu_
-inline constexpr int kGraphOutbox = 66;       // pregel outbox_mu[] stripes
+// dataflow / graph — leaf-ish compute-side locks.
+inline constexpr int kDataflowDataset = 60;  // Dataset::Node::mu
+inline constexpr int kGraphOutbox = 66;      // pregel outbox_mu[] stripes
 
 // obs — trace collection.
 inline constexpr int kObsTrace = 70;  // SpanCollector::mu_
@@ -65,8 +64,6 @@ inline constexpr int kObsTrace = 70;  // SpanCollector::mu_
 // touching these, so they rank above (are acquired after) everything else.
 inline constexpr int kUtilQueue = 80;            // BoundedQueue::mu_
 inline constexpr int kUtilMetricsRegistry = 90;  // MetricsRegistry::mu_
-inline constexpr int kUtilMetricsGauge = 92;     // Gauge::mu_
-inline constexpr int kUtilMetricsHistogram = 94; // Histogram::mu_
 inline constexpr int kUtilLogging = 98;          // logging OutputMutex()
 
 }  // namespace metro::lockrank

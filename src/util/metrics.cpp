@@ -1,114 +1,13 @@
 #include "util/metrics.h"
 
-#include <algorithm>
-#include <bit>
 #include <sstream>
 
 namespace metro {
-namespace {
-
-int BucketIndex(std::int64_t value) {
-  if (value <= 0) return 0;
-  return std::bit_width(static_cast<std::uint64_t>(value));  // in [1, 63]
-}
-
-std::int64_t BucketLow(int index) {
-  return index == 0 ? 0 : (std::int64_t{1} << (index - 1));
-}
-
-std::int64_t BucketHigh(int index) {
-  return index >= Histogram::kNumBuckets - 1 ? INT64_MAX
-                                             : (std::int64_t{1} << index) - 1;
-}
-
-}  // namespace
-
-void Histogram::Record(std::int64_t value) {
-  if (value < 0) value = 0;
-  MutexLock lock(mu_);
-  const int idx = std::min(BucketIndex(value), kNumBuckets - 1);
-  ++buckets_[idx];
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-}
-
-std::int64_t Histogram::count() const {
-  MutexLock lock(mu_);
-  return count_;
-}
-
-std::int64_t Histogram::sum() const {
-  MutexLock lock(mu_);
-  return sum_;
-}
-
-double Histogram::mean() const {
-  MutexLock lock(mu_);
-  return count_ == 0 ? 0.0 : double(sum_) / double(count_);
-}
-
-std::int64_t Histogram::min() const {
-  MutexLock lock(mu_);
-  return min_;
-}
-
-std::int64_t Histogram::max() const {
-  MutexLock lock(mu_);
-  return max_;
-}
-
-std::int64_t Histogram::Quantile(double q) const {
-  MutexLock lock(mu_);
-  if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  // The extremes are tracked exactly; never answer them from bucket bounds
-  // (q=1.0 used to return the last bucket's *low* edge when that bucket held
-  // a single sample — far below the true max).
-  if (q <= 0.0) return min_;
-  if (q >= 1.0) return max_;
-  const double target = q * double(count_ - 1);
-  std::int64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
-    if (double(seen + buckets_[i] - 1) >= target) {
-      // Interpolate within the bucket; [lo, hi] is clamped to the observed
-      // [min_, max_] so single-sample and one-bucket histograms never
-      // interpolate below min_ or above max_.
-      const double frac =
-          buckets_[i] <= 1 ? 0.0 : (target - double(seen)) / double(buckets_[i] - 1);
-      const std::int64_t lo = std::max(BucketLow(i), min_);
-      const std::int64_t hi = std::min(BucketHigh(i), max_);
-      return lo + static_cast<std::int64_t>(frac * double(std::max<std::int64_t>(hi - lo, 0)));
-    }
-    seen += buckets_[i];
-  }
-  return max_;
-}
 
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   MutexLock lock(mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string& name) {
-  MutexLock lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
-  MutexLock lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
 }
 
@@ -118,22 +17,7 @@ std::string MetricsRegistry::Report() const {
   for (const auto& [name, c] : counters_) {
     os << name << " = " << c->value() << '\n';
   }
-  for (const auto& [name, g] : gauges_) {
-    os << name << " = " << g->value() << '\n';
-  }
-  for (const auto& [name, h] : histograms_) {
-    os << name << ": count=" << h->count() << " mean=" << h->mean()
-       << " p50=" << h->p50() << " p95=" << h->p95() << " p99=" << h->p99()
-       << " max=" << h->max() << '\n';
-  }
   return os.str();
-}
-
-void MetricsRegistry::Clear() {
-  MutexLock lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 }  // namespace metro

@@ -14,19 +14,15 @@
 
 namespace metro {
 
-class MetricsRegistry;
-
 /// Fixed set of worker threads draining a shared task queue.
 ///
 /// Tasks submitted after Shutdown() are rejected. The destructor joins all
 /// workers after draining outstanding tasks. A task that throws is counted
-/// (and mirrored into `metrics` as `threadpool.task_exceptions` when given)
-/// and logged; the worker survives it.
+/// (see task_exceptions()) and logged; the worker survives it.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (>= 1).
-  explicit ThreadPool(std::size_t num_threads,
-                      MetricsRegistry* metrics = nullptr);
+  explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -65,7 +61,6 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  MetricsRegistry* metrics_;
   std::atomic<std::int64_t> task_exceptions_{0};
   BoundedQueue<std::function<void()>> tasks_;
   std::vector<std::jthread> workers_;

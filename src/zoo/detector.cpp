@@ -16,6 +16,28 @@ namespace {
 
 float SigmoidF(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
+struct CellScore {
+  float score;  ///< objectness x top-class softmax probability
+  int cls;      ///< top class; the first of tied logits wins
+};
+
+/// Scores one (5 + num_classes)-wide head cell. Decode and Confidence both
+/// go through here, so the exit gate always equals the best decoded score.
+CellScore ScoreCell(const float* cell, int num_classes) {
+  const float* logits = cell + 5;
+  float mx = logits[0];
+  int best = 0;
+  for (int k = 1; k < num_classes; ++k) {
+    if (logits[k] > mx) {
+      mx = logits[k];
+      best = k;
+    }
+  }
+  float sum = 0;
+  for (int k = 0; k < num_classes; ++k) sum += std::exp(logits[k] - mx);
+  return {SigmoidF(cell[0]) * (1.0f / sum), best};  // exp(0)/sum
+}
+
 }  // namespace
 
 float Iou(const Detection& a, const Detection& b) {
@@ -216,22 +238,11 @@ std::vector<Detection> SplitDetector::Decode(std::span<const float> head_out,
     for (int cx = 0; cx < s; ++cx) {
       const std::size_t base =
           ((std::size_t(batch_index) * s + cy) * s + cx) * depth;
-      const float o = SigmoidF(head_out[base]);
-      float mx = head_out[base + 5];
-      int best = 0;
-      for (int k = 1; k < nc; ++k) {
-        if (head_out[base + 5 + k] > mx) {
-          mx = head_out[base + 5 + k];
-          best = k;
-        }
-      }
-      float sum = 0;
-      for (int k = 0; k < nc; ++k) sum += std::exp(head_out[base + 5 + k] - mx);
-      const float pbest = 1.0f / sum;  // exp(0)/sum
+      const CellScore cell = ScoreCell(&head_out[base], nc);
+      if (cell.score < score_floor) continue;
       Detection d;
-      d.score = o * pbest;
-      if (d.score < score_floor) continue;
-      d.cls = best;
+      d.score = cell.score;
+      d.cls = cell.cls;
       d.cx = (float(cx) + SigmoidF(head_out[base + 1])) / float(s);
       d.cy = (float(cy) + SigmoidF(head_out[base + 2])) / float(s);
       d.w = SigmoidF(head_out[base + 3]);
@@ -248,8 +259,8 @@ float SplitDetector::Confidence(const Tensor& head_out, int batch_index) const {
 
 float SplitDetector::Confidence(std::span<const float> head_out,
                                 int batch_index) const {
-  // Allocation-free max over the per-cell scores (same arithmetic as
-  // Decode) — this runs on every frame as the Fig. 5 exit gate.
+  // Allocation-free max over the per-cell scores — this runs on every frame
+  // as the Fig. 5 exit gate.
   const int s = config_.grid;
   const int nc = config_.num_classes;
   const int depth = 5 + nc;
@@ -258,14 +269,7 @@ float SplitDetector::Confidence(std::span<const float> head_out,
     for (int cx = 0; cx < s; ++cx) {
       const std::size_t base =
           ((std::size_t(batch_index) * s + cy) * s + cx) * depth;
-      const float o = SigmoidF(head_out[base]);
-      float mx = head_out[base + 5];
-      for (int k = 1; k < nc; ++k) {
-        mx = std::max(mx, head_out[base + 5 + k]);
-      }
-      float sum = 0;
-      for (int k = 0; k < nc; ++k) sum += std::exp(head_out[base + 5 + k] - mx);
-      best = std::max(best, o * (1.0f / sum));
+      best = std::max(best, ScoreCell(&head_out[base], nc).score);
     }
   }
   return best;

@@ -573,6 +573,13 @@ TEST(ResilientPipelineTest, EdgeUplinkLossIsTheOnlyHardFailure) {
   EXPECT_EQ(result.items_offloaded, 6);
   EXPECT_LT(result.Availability(), 1.0);
   EXPECT_EQ(metrics.GetCounter("fog.failed.edge_uplink").value(), 2);
+  // The failed items retried their uplink sends before giving up; those
+  // retries count in send_retries as they do in the fog.retries counter.
+  std::int64_t item_retries = 0;
+  for (const fog::ItemOutcome& o : result.outcomes) item_retries += o.retries;
+  EXPECT_EQ(item_retries, 4);
+  EXPECT_EQ(metrics.GetCounter("fog.retries").value(), 4);
+  EXPECT_EQ(result.send_retries, 4);
 }
 
 // ---------------------------------------------------------------- Ingest

@@ -122,6 +122,31 @@ TEST(SpanCollectorTest, StageBreakdownQuantilesAreExact) {
   EXPECT_NEAR(stages[0].p99_ms, 99.01, 1e-9);
 }
 
+TEST(SummarizeLatencyTest, EmptyIsZeroAndOneSampleIsEveryQuantile) {
+  const obs::LatencySummary empty = obs::SummarizeLatency({});
+  EXPECT_EQ(empty.count, 0);
+  for (const double v : {empty.mean, empty.p50, empty.p95, empty.p99}) {
+    EXPECT_EQ(v, 0.0);
+  }
+  const obs::LatencySummary one = obs::SummarizeLatency({42.0});
+  EXPECT_EQ(one.count, 1);
+  for (const double v : {one.mean, one.p50, one.p95, one.p99}) {
+    EXPECT_EQ(v, 42.0);
+  }
+}
+
+TEST(SummarizeLatencyTest, NarrowUnsortedRangeNeverLeavesMinMax) {
+  std::vector<double> samples;
+  for (int v = 47; v >= 33; --v) samples.push_back(double(v));
+  const obs::LatencySummary s = obs::SummarizeLatency(samples);
+  for (const double v : {s.mean, s.p50, s.p95, s.p99}) {
+    EXPECT_GE(v, 33.0);
+    EXPECT_LE(v, 47.0);
+  }
+  EXPECT_DOUBLE_EQ(s.p50, 40.0);
+  EXPECT_DOUBLE_EQ(s.p99, 46.86);  // 33 + 0.99 * 14
+}
+
 TEST(SpanCollectorTest, OverlaysAndEventsDoNotCountAsStageTime) {
   SimClock clock;
   obs::SpanCollector collector(clock);
@@ -302,6 +327,17 @@ TEST(PipelineTracingTest, EveryRecordYieldsOneTraceCoveringAllStages) {
   EXPECT_FALSE(stats.stage_latency.empty());
   EXPECT_GT(stats.mean_latency_ms, 0.0);
   EXPECT_GE(stats.p99_latency_ms, stats.mean_latency_ms);
+  // The end-to-end figures summarize exactly the traces that reached web.
+  std::vector<double> e2e_ms;
+  for (const auto& t : traces) {
+    if (t.stage_ns.count("web") > 0) {
+      e2e_ms.push_back(double(t.total()) / double(kMillisecond));
+    }
+  }
+  const obs::LatencySummary e2e = obs::SummarizeLatency(e2e_ms);
+  EXPECT_EQ(e2e.count, kRecords);
+  EXPECT_DOUBLE_EQ(stats.mean_latency_ms, e2e.mean);
+  EXPECT_DOUBLE_EQ(stats.p99_latency_ms, e2e.p99);
 }
 
 TEST(PipelineTracingTest, ProduceContinuesCallerTrace) {
@@ -413,6 +449,32 @@ TEST(FogTracingTest, ServerOutageTracesAreTaggedDegraded) {
   EXPECT_EQ(degraded_traces, result.items_degraded);
   EXPECT_GT(retried_traces, 0);
   EXPECT_TRUE(saw_breaker_event);  // the outage tripped the breaker
+}
+
+TEST(FogTracingTest, LatencySummaryCoversAnsweredItemsOnly) {
+  fog::FogTopology topo(SmallFogConfig());
+  // Edge 0's items fail outright; the fog -> server outage degrades the rest
+  // to local answers, so answered latencies spread across two paths.
+  ASSERT_TRUE(
+      topo.sim().SetLinkUp(topo.edge(0), topo.fog_of_edge(0), false).ok());
+  ASSERT_TRUE(
+      topo.sim().SetLinkUp(topo.fog_node(1), topo.server_of_fog_index(1), false)
+          .ok());
+  const auto result = fog::RunResilientPipeline(
+      topo, FogItems(12, /*offload=*/true), fog::FogResilienceOptions{});
+  ASSERT_GT(result.items_failed, 0);
+  ASSERT_GT(result.items_degraded, 0);
+
+  std::vector<double> answered_ms;
+  for (const fog::ItemOutcome& o : result.outcomes) {
+    if (o.dropped || o.failed) continue;
+    answered_ms.push_back(double(o.latency) / double(kMillisecond));
+  }
+  const obs::LatencySummary s = obs::SummarizeLatency(answered_ms);
+  EXPECT_EQ(s.count, result.items_local + result.items_offloaded +
+                         result.items_degraded);
+  EXPECT_DOUBLE_EQ(result.mean_latency_ms, s.mean);
+  EXPECT_DOUBLE_EQ(result.p99_latency_ms, s.p99);
 }
 
 // ---------------------------------------------------------------- DFS

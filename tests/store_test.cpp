@@ -491,8 +491,7 @@ TEST(LsmTest, BlockCacheCountsHitsMissesEvictions) {
   BlockCache::Config cache_config;
   cache_config.capacity_bytes = 4 * 1024;  // deliberately tiny
   cache_config.shards = 2;
-  MetricsRegistry metrics;
-  auto cache = std::make_shared<BlockCache>(cache_config, &metrics);
+  auto cache = std::make_shared<BlockCache>(cache_config);
   LsmConfig config;
   config.block_cache = cache;
   config.block_size_bytes = 512;
@@ -515,13 +514,6 @@ TEST(LsmTest, BlockCacheCountsHitsMissesEvictions) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);  // 100+ blocks through a 4KB cache
   EXPECT_LE(stats.charge_bytes, 2 * cache_config.capacity_bytes);
-  // The util::metrics mirror sees the same totals.
-  EXPECT_EQ(metrics.GetCounter("store.cache.hit").value(),
-            std::int64_t(stats.hits));
-  EXPECT_EQ(metrics.GetCounter("store.cache.miss").value(),
-            std::int64_t(stats.misses));
-  EXPECT_EQ(metrics.GetCounter("store.cache.eviction").value(),
-            std::int64_t(stats.evictions));
 }
 
 TEST(LsmTest, KeyRangeAndApproxEntriesFromTableMetadata) {

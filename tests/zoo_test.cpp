@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "datagen/video.h"
 #include "nn/optimizer.h"
@@ -221,6 +225,44 @@ TEST(SplitDetectorTest, DecodeConfidenceConsistent) {
     EXPECT_LE(d.cx, 1.0f);
     EXPECT_GE(d.score, 0.0f);
     EXPECT_LE(d.score, 1.0f);
+  }
+}
+
+TEST(SplitDetectorTest, ConfidenceIsBitExactBestDecodedScore) {
+  // The exit gate and the decoder share one per-cell score, so over any
+  // finite head output (ties, signed zeros, large logits) Confidence is the
+  // best Decode score bit for bit, and tied logits decode to the first class.
+  Rng rng(21);
+  DetectorConfig config;
+  SplitDetector det(config, rng);
+  const int depth = 5 + config.num_classes;
+  const int cells = config.grid * config.grid;
+  const float kPicks[] = {-0.0f, 0.0f, 1.0f, -2.5f, 30.0f};
+  for (int trial = 0; trial < 20; ++trial) {
+    const int batch = 3;
+    std::vector<float> head(std::size_t(batch * cells * depth));
+    for (float& v : head) {
+      v = rng.Bernoulli(0.5)
+              ? kPicks[rng.UniformInt(0, 4)]
+              : float(rng.Normal(0.0, 4.0));
+    }
+    // One cell whose logits all tie at -0 / +0.
+    for (int k = 0; k < config.num_classes; ++k) {
+      head[std::size_t(5 + k)] = (k % 2 == 0) ? -0.0f : 0.0f;
+    }
+    for (int b = 0; b < batch; ++b) {
+      const auto dets = det.Decode(std::span<const float>(head), b, 0.0f);
+      ASSERT_EQ(dets.size(), std::size_t(cells));
+      float best = 0.0f;
+      for (const Detection& d : dets) best = std::max(best, d.score);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                    det.Confidence(std::span<const float>(head), b)),
+                std::bit_cast<std::uint32_t>(best))
+          << "trial " << trial << " image " << b;
+      if (b == 0) {
+        EXPECT_EQ(dets[0].cls, 0) << "trial " << trial;
+      }
+    }
   }
 }
 
