@@ -5,7 +5,7 @@
 // (replication factor 3, acks=quorum):
 //
 //   healthy      steady-state quorum produce, measured with the grouped-min
-//                scheme (best group mean) from infer_json.h;
+//                scheme (best group mean) from bench_json.h;
 //   leader_kill  mid-run the preferred leader of partition 0 is killed
 //                (failover), then a second replica (quorum lost — produces
 //                to that partition are rejected until revival), then both
@@ -22,13 +22,13 @@
 // the idempotent produce path. Violations exit non-zero, so the CI step
 // that emits BENCH_mq.json is also a correctness gate.
 //
-// The batched-produce curves drive the zero-copy path: `produce_scaling`
-// sweeps partition counts (one producing thread per partition) comparing
-// single-record against 256-record batched produce, and `batch_size_curve`
-// sweeps the batch size at 8 partitions. `batched_speedup_at_8` is the
-// ratio check_perf.sh gates on.
+// `produce_grid` measures produce throughput once at each point of a grid
+// of partition counts (one producing thread per partition) and batch
+// sizes: batch 1 is the single-record Prepare/Produce path, larger batches
+// the zero-copy PrepareBatch path. check_perf.sh gates on the batched
+// records/s at 8 partitions. Both modes print the grid.
 //
-// --json [--json=<path>] writes the measurements into BENCH_mq.json;
+// --json [--json=<path>] writes the measurements to BENCH_mq.json;
 // --seed=<n> reseeds the chaos scenario (default 42, echoed in the JSON).
 
 #include <benchmark/benchmark.h>
@@ -37,13 +37,14 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "infer_json.h"
+#include "bench_json.h"
 #include "mq/broker_cluster.h"
 #include "obs/trace.h"
 #include "resilience/chaos.h"
@@ -334,7 +335,7 @@ double MeasureProduceRps(int partitions, int batch_size,
   return elapsed_s > 0 ? double(acked.load()) / elapsed_s : 0;
 }
 
-/// Grouped-min steady-state produce cost (the infer_json.h Measure scheme):
+/// Grouped-min steady-state produce cost (the bench_json.h Measure scheme):
 /// one Prepare + quorum Produce per call against a healthy cluster.
 bench_json::PathMetrics MeasureSteadyState() {
   WallClock& clock = WallClock::Instance();
@@ -373,62 +374,46 @@ bench_json::PathMetrics MeasureSteadyStateBatched() {
   });
 }
 
+/// Records/s at every (partitions, batch size) point, each measured once
+/// over the same total record count, as a JSON array.
+std::string ProduceGridJson() {
+  constexpr int kGridRecords = 24'000;
+  std::ostringstream os;
+  os << "[";
+  const char* sep = "";
+  for (const int partitions : {1, 2, 4, 8}) {
+    for (const int batch : {1, 8, 64, 256}) {
+      const double rps =
+          MeasureProduceRps(partitions, batch, kGridRecords / partitions);
+      os << sep << "{\"partitions\": " << partitions
+         << ", \"batch_size\": " << batch
+         << ", \"records_per_s\": " << bench_json::Num(rps) << "}";
+      sep = ", ";
+    }
+  }
+  os << "]";
+  return os.str();
+}
+
 int RunJsonMode(const std::string& path, std::uint64_t seed) {
   const bench_json::PathMetrics steady = MeasureSteadyState();
   const bench_json::PathMetrics steady_batched = MeasureSteadyStateBatched();
   const ScenarioResult healthy = RunScenario(/*kill_leader=*/false);
   const ScenarioResult faulted = RunScenario(/*kill_leader=*/true);
   const ScenarioResult chaos = RunChaosScenario(seed);
+  const std::string grid = ProduceGridJson();
 
-  // Records/s vs partitions (single vs 256-record batches, one producing
-  // thread per partition), and records/s vs batch size at 8 partitions.
-  constexpr int kScalingRecords = 24'000;  // total per measured point
-  constexpr int kScalingBatch = 256;
-  const std::vector<int> partition_counts = {1, 2, 4, 8};
-  std::ostringstream scaling;
-  scaling << "[";
-  double single_at_8 = 0;
-  double batched_at_8 = 0;
-  for (std::size_t i = 0; i < partition_counts.size(); ++i) {
-    const int p = partition_counts[i];
-    const int per_thread = kScalingRecords / p;
-    const double single = MeasureProduceRps(p, 1, per_thread);
-    const double batched = MeasureProduceRps(p, kScalingBatch, per_thread);
-    if (p == 8) {
-      single_at_8 = single;
-      batched_at_8 = batched;
-    }
-    scaling << (i > 0 ? ", " : "") << "{\"partitions\": " << p
-            << ", \"single_records_per_s\": " << bench_json::Num(single)
-            << ", \"batched_records_per_s\": " << bench_json::Num(batched)
-            << "}";
-  }
-  scaling << "]";
-  const std::vector<int> batch_sizes = {1, 8, 64, 256};
-  std::ostringstream batch_curve;
-  batch_curve << "[";
-  for (std::size_t i = 0; i < batch_sizes.size(); ++i) {
-    const int b = batch_sizes[i];
-    const double rps = MeasureProduceRps(8, b, kScalingRecords / 8);
-    batch_curve << (i > 0 ? ", " : "") << "{\"batch_size\": " << b
-                << ", \"records_per_s\": " << bench_json::Num(rps) << "}";
-  }
-  batch_curve << "]";
-  const double speedup = single_at_8 > 0 ? batched_at_8 / single_at_8 : 0;
-
-  std::ostringstream os;
-  os << "{\"seed\": " << seed
-     << ", \"steady_state\": " << bench_json::PathJson(steady)
-     << ", \"steady_state_batched_64\": " << bench_json::PathJson(steady_batched)
-     << ", \"healthy\": " << ScenarioJson(healthy)
-     << ", \"leader_kill\": " << ScenarioJson(faulted)
-     << ", \"chaos\": " << ScenarioJson(chaos)
-     << ", \"produce_scaling\": " << scaling.str()
-     << ", \"batch_size_curve\": " << batch_curve.str()
-     << ", \"batched_speedup_at_8\": " << bench_json::Num(speedup) << "}";
-  bench_json::MergeInferJson(path, "mq_failover", os.str());
-  std::printf("wrote %s (seed %llu, batched speedup at 8 partitions: %.2fx)\n",
-              path.c_str(), (unsigned long long)seed, speedup);
+  std::ofstream(path)
+      << "{\"seed\": " << seed
+      << ", \"steady_state\": " << bench_json::PathJson(steady)
+      << ", \"steady_state_batched_64\": "
+      << bench_json::PathJson(steady_batched)
+      << ", \"healthy\": " << ScenarioJson(healthy)
+      << ", \"leader_kill\": " << ScenarioJson(faulted)
+      << ", \"chaos\": " << ScenarioJson(chaos)
+      << ", \"produce_grid\": " << grid << "}\n";
+  std::printf("wrote %s (seed %llu)\nproduce_grid: %s\n", path.c_str(),
+              (unsigned long long)seed, grid.c_str());
 
   const std::int64_t lost =
       healthy.lost_acked + faulted.lost_acked + chaos.lost_acked;
@@ -491,10 +476,7 @@ BENCHMARK(BM_QuorumProduceBatch)->Arg(8)->Arg(64)->Arg(256);
 int main(int argc, char** argv) {
   const std::uint64_t seed = ParseSeedFlag(argc, argv);
   std::string json_path;
-  if (bench_json::ParseJsonFlag(argc, argv, json_path)) {
-    // This bench owns its own output file (the MQ numbers, not the
-    // inference ones) unless the caller pointed somewhere explicitly.
-    if (json_path == "BENCH_infer.json") json_path = "BENCH_mq.json";
+  if (bench_json::ParseJsonFlag(argc, argv, "BENCH_mq.json", json_path)) {
     return RunJsonMode(json_path, seed);
   }
   const ScenarioResult healthy = RunScenario(false);
@@ -504,6 +486,7 @@ int main(int argc, char** argv) {
   std::printf("leader_kill: %s\n", ScenarioJson(faulted).c_str());
   std::printf("chaos[%llu]: %s\n", (unsigned long long)seed,
               ScenarioJson(chaos).c_str());
+  std::printf("produce_grid: %s\n", ProduceGridJson().c_str());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

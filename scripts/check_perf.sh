@@ -1,23 +1,22 @@
 #!/usr/bin/env bash
-# Performance gate for the planned inference engine and the batched MQ
-# produce path. Builds Release, proves bit-exactness first (the parity
-# suite is the contract that makes the perf numbers meaningful), then runs
-# the Fig. 5 / Fig. 7 benches in --json mode and reports the
-# eager-vs-planned ratios from BENCH_infer.json, and finally runs the MQ
-# failover bench and gates on the batched-produce speedup from
-# BENCH_mq.json.
+# Performance gate for the planned inference engine, the batched MQ
+# produce path and the versioned LSM's read tail. Builds Release, proves
+# bit-exactness first (the parity suite is the contract that makes the
+# perf numbers meaningful), then runs each bench in --json mode. Each bench
+# writes its own file into the build directory, and every gate reads an
+# absolute number of the real code from one of them.
 #
-# Exits non-zero when:
-#   - the build or the inference parity suite fails, or
-#   - either inference bench fails to produce its BENCH_infer.json section, or
-#   - the MQ bench fails its exactly-once audit / misses BENCH_mq.json, or
-#   - batched produce is < 2x single-record records/s at 8 partitions, or
-#   - the store read-storm bench fails its ingest sanity floor / misses
-#     BENCH_store.json.
-#
-# The latency/alloc ratios are printed for trend-watching but only warn by
-# default (shared CI machines are noisy); set METRO_PERF_STRICT=1 to also
-# fail when Fig. 5 local-exit speedup < 2x or alloc reduction < 4x.
+# Exits non-zero when the build or the parity suite fails, when a bench
+# exits non-zero (the MQ exactly-once audit; the read storm's wrong-read
+# count and ingest floor) or writes a file that does not parse, or when a
+# gate fails:
+#   BENCH_fig5.json   planned local exit at least 2x faster than eager, and
+#                     at most 6 heap allocations per planned call;
+#   BENCH_mq.json     batch-256 produce at 8 partitions at least
+#                     5M records/s (about 10x the single-record rate);
+#   BENCH_store.json  read p99 under 25 ms at the fixed 60k reads/s, and
+#                     the achieved read rate at least 0.95 of that target.
+# BENCH_fig7.json is written and parsed but not gated.
 #
 # Usage: scripts/check_perf.sh [build-dir]   (default: build-perf)
 
@@ -26,7 +25,6 @@ cd "$(dirname "$0")/.."
 
 PREFIX="${1:-build-perf}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
-JSON="${PREFIX}/BENCH_infer.json"
 
 echo "==> build: Release (${PREFIX})"
 cmake -B "${PREFIX}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -37,62 +35,55 @@ cmake --build "${PREFIX}" -j "${JOBS}" --target \
 echo "==> parity: planned inference must be bit-exact with eager"
 ctest --test-dir "${PREFIX}" --output-on-failure -R inference_parity_test
 
-echo "==> bench: fig5 early-exit detector (--json)"
-rm -f "${JSON}"
-(cd "${PREFIX}" && ./bench/bench_fig5_earlyexit_detect --json)
+# Runs one bench in --json mode from the build directory; the bench writes
+# the named file there (a stale one is removed first).
+run_bench() {
+  echo "==> bench: $1 --json"
+  rm -f "${PREFIX}/$2"
+  (cd "${PREFIX}" && "./bench/$1" --json="$2")
+}
+run_bench bench_fig5_earlyexit_detect BENCH_fig5.json
+run_bench bench_fig7_behavior BENCH_fig7.json
+run_bench bench_mq_failover BENCH_mq.json
+run_bench bench_store_readstorm BENCH_store.json
 
-echo "==> bench: fig7 behavior recognizer (--json)"
-(cd "${PREFIX}" && ./bench/bench_fig7_behavior --json)
+# check FILE LABEL EXPR OP LIMIT: loads FILE's JSON object as `d` (a file
+# that does not parse fails), evaluates the Python expression EXPR over it,
+# prints the value and fails unless `value OP LIMIT` holds.
+check() {
+  python3 - "$@" <<'EOF'
+import json, operator, sys
+path, label, expr, op, limit = sys.argv[1:]
+with open(path) as f:
+    d = json.load(f)
+value = eval(expr, {}, {"d": d})
+ok = {">=": operator.ge, "<=": operator.le, "<": operator.lt}[op](
+    value, float(limit))
+print(f"==> {label}: {value:.6g} (gate: {op} {limit}) {'ok' if ok else 'FAIL'}")
+sys.exit(0 if ok else 1)
+EOF
+}
 
-grep -q '"fig5_earlyexit_detect"' "${JSON}" ||
-  { echo "check_perf: fig5 section missing from ${JSON}" >&2; exit 1; }
-grep -q '"fig7_behavior"' "${JSON}" ||
-  { echo "check_perf: fig7 section missing from ${JSON}" >&2; exit 1; }
+FIG5="${PREFIX}/BENCH_fig5.json"
+MQ="${PREFIX}/BENCH_mq.json"
+STORE="${PREFIX}/BENCH_store.json"
+status=0
+python3 -m json.tool "${PREFIX}/BENCH_fig7.json" >/dev/null || status=1
+check "${FIG5}" "fig5 local exit: planned speedup over eager (x)" \
+  'd["latency_speedup"]' ">=" 2 || status=1
+check "${FIG5}" "fig5 local exit: planned heap allocs per call" \
+  'd["planned"]["heap_allocs_per_call"]' "<=" 6 || status=1
+check "${MQ}" "mq: batch-256 records/s at 8 partitions" \
+  'next(p["records_per_s"] for p in d["produce_grid"]
+        if p["partitions"] == 8 and p["batch_size"] == 256)' ">=" 5e6 ||
+  status=1
+check "${STORE}" "store: read p99 (us) at the target rate" \
+  'd["read_p99_us"]' "<" 25000 || status=1
+check "${STORE}" "store: achieved / target read rate" \
+  'd["reads_per_s"] / d["target_reads_per_s"]' ">=" 0.95 || status=1
 
-# Pull the headline ratios out of the (machine-written, one-key-per-line)
-# JSON without requiring jq.
-ratio() { sed -n "s/.*\"$1\": \([0-9.eE+-]*\).*/\1/p" "${JSON}" | head -1; }
-SPEEDUP="$(ratio latency_speedup)"
-ALLOC_CUT="$(ratio alloc_reduction)"
-echo "==> fig5 local-exit: planned is ${SPEEDUP}x faster, ${ALLOC_CUT}x fewer heap allocs (target: >= 2x / >= 4x)"
-
-if [[ "${METRO_PERF_STRICT:-0}" == "1" ]]; then
-  awk -v s="${SPEEDUP}" -v a="${ALLOC_CUT}" \
-    'BEGIN { exit !(s >= 2.0 && a >= 4.0) }' ||
-    { echo "check_perf: FAIL (below 2x latency / 4x alloc targets)" >&2; exit 1; }
+if [[ "${status}" != 0 ]]; then
+  echo "check_perf: FAIL" >&2
+  exit 1
 fi
-
-# Batched MQ produce: the bench itself is the exactly-once audit (non-zero
-# on acked loss or duplicate delivery); the speedup gate here is a *hard*
-# gate — batching amortizes the broker's lock and bookkeeping, so even a
-# noisy shared machine clears 2x with a wide margin.
-MQ_JSON="${PREFIX}/BENCH_mq.json"
-echo "==> bench: mq failover + batched produce (--json)"
-rm -f "${MQ_JSON}"
-(cd "${PREFIX}" && ./bench/bench_mq_failover --json)
-grep -q '"mq_failover"' "${MQ_JSON}" ||
-  { echo "check_perf: mq_failover section missing from ${MQ_JSON}" >&2; exit 1; }
-MQ_SPEEDUP="$(sed -n 's/.*"batched_speedup_at_8": \([0-9.eE+-]*\).*/\1/p' "${MQ_JSON}" | head -1)"
-echo "==> mq: batched produce is ${MQ_SPEEDUP}x single-record at 8 partitions (target: >= 2x)"
-awk -v s="${MQ_SPEEDUP}" 'BEGIN { exit !(s >= 2.0) }' ||
-  { echo "check_perf: FAIL (batched produce < 2x single-record at 8 partitions)" >&2; exit 1; }
-
-# Storage read storm: Zipfian open-loop readers against sustained ingest,
-# versioned LSM engine vs a replica of the seed engine (one global mutex).
-# The headline ratio is tail read latency at a fixed arrival rate; like the
-# Fig. 5 ratios it only warns by default (the storm is scheduler-sensitive
-# on shared machines) and becomes a >= 2x gate under METRO_PERF_STRICT=1.
-STORE_JSON="${PREFIX}/BENCH_store.json"
-echo "==> bench: store read storm (--json)"
-rm -f "${STORE_JSON}"
-(cd "${PREFIX}" && ./bench/bench_store_readstorm --json=BENCH_store.json)
-grep -q '"store_readstorm"' "${STORE_JSON}" ||
-  { echo "check_perf: store_readstorm section missing from ${STORE_JSON}" >&2; exit 1; }
-P99_IMPROVEMENT="$(sed -n 's/.*"read_p99_improvement": \([0-9.eE+-]*\).*/\1/p' "${STORE_JSON}" | head -1)"
-echo "==> store: versioned engine read p99 is ${P99_IMPROVEMENT}x better than the seed engine under ingest (target: >= 2x)"
-if [[ "${METRO_PERF_STRICT:-0}" == "1" ]]; then
-  awk -v s="${P99_IMPROVEMENT}" 'BEGIN { exit !(s >= 2.0) }' ||
-    { echo "check_perf: FAIL (read p99 improvement < 2x over seed engine)" >&2; exit 1; }
-fi
-
-echo "==> check_perf: OK (${JSON}, ${MQ_JSON}, ${STORE_JSON})"
+echo "==> check_perf: OK (${PREFIX}/BENCH_{fig5,fig7,mq,store}.json)"

@@ -26,9 +26,9 @@ struct ConvDims {
 // output-y) pair. All indexing is raw pointers with precomputed strides —
 // no per-element Tensor::at() — and the bias span is hoisted out of the
 // pixel loop. The eager Conv2dForward's kernel, and the planned
-// Conv2dForwardInto's for widths past kConvAccChannels; each output element
-// is written by exactly one row, so ParallelFor over rows is race-free and
-// order-preserving.
+// Conv2dForwardInto's for widths without a register-blocked kernel; each
+// output element is written by exactly one row, so ParallelFor over rows
+// is race-free and order-preserving.
 METRO_NOALLOC
 void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
                   const ConvDims& d, float* out_d, std::int64_t row_begin,
@@ -74,7 +74,6 @@ void ConvRowRange(const float* in_d, const float* w_d, const float* bias_d,
 // changes. The accumulators are provably local (in ConvRowRange the output
 // may alias the input as far as the compiler knows, so every tap is a
 // load-modify-store through memory), and each pixel is stored once.
-constexpr int kConvAccChannels = 128;
 
 // What every output pixel of one (batch, output-y) row shares.
 struct ConvRow {
@@ -459,58 +458,10 @@ template <int kLanes, int kCout>
   }
 }
 
-// Generic-width fallback with a local accumulator block.
+// Widths without a register-blocked kernel: the eager kernel, then the
+// epilogue over each pixel it stored.
 METRO_NOALLOC
-void ConvRowRangeBlocked(const float* in_d, const float* w_d,
-                         const float* bias_d, const ConvDims& d,
-                         const ConvEpilogue& e, float* out_d,
-                         std::int64_t row_begin, std::int64_t row_end) {
-  assert(d.cout <= kConvAccChannels);
-  const std::size_t in_row_stride = std::size_t(d.w) * d.cin;
-  const std::size_t w_tap_stride = std::size_t(d.cin) * d.cout;
-  float acc[kConvAccChannels];
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    const int b = int(r / d.oh);
-    const int oy = int(r % d.oh);
-    const float* in_img = &in_d[std::size_t(b) * d.h * in_row_stride];
-    float* out_row = &out_d[std::size_t(r) * d.ow * d.cout];
-    for (int ox = 0; ox < d.ow; ++ox) {
-      if (bias_d) {
-        std::memcpy(acc, bias_d, std::size_t(d.cout) * sizeof(float));
-      } else {
-        std::memset(acc, 0, std::size_t(d.cout) * sizeof(float));
-      }
-      for (int ky = 0; ky < d.kh; ++ky) {
-        const int iy = oy * d.stride + ky - d.pad;
-        if (iy < 0 || iy >= d.h) continue;
-        for (int kx = 0; kx < d.kw; ++kx) {
-          const int ix = ox * d.stride + kx - d.pad;
-          if (ix < 0 || ix >= d.w) continue;
-          const float* in_px =
-              &in_img[std::size_t(iy) * in_row_stride + std::size_t(ix) * d.cin];
-          const float* w_px = &w_d[(std::size_t(ky) * d.kw + kx) * w_tap_stride];
-          for (int ic = 0; ic < d.cin; ++ic) {
-            const float iv = in_px[ic];
-            if (iv == 0.0f) continue;
-            const float* w_row = &w_px[std::size_t(ic) * d.cout];
-            for (int oc = 0; oc < d.cout; ++oc) acc[oc] += iv * w_row[oc];
-          }
-        }
-      }
-      const float* res =
-          e.residual ? &e.residual[(std::size_t(r) * d.ow + ox) * d.cout]
-                     : nullptr;
-      for (int oc = 0; oc < d.cout; ++oc) ApplyEpilogue(acc[oc], e, res, oc);
-      std::memcpy(&out_row[std::size_t(ox) * d.cout], acc,
-                  std::size_t(d.cout) * sizeof(float));
-    }
-  }
-}
-
-// Widths past kConvAccChannels: the eager kernel, then the epilogue over
-// each pixel it stored.
-METRO_NOALLOC
-void ConvRowRangeWide(const float* in_d, const float* w_d,
+void ConvRowRangeGeneric(const float* in_d, const float* w_d,
                       const float* bias_d, const ConvDims& d,
                       const ConvEpilogue& e, float* out_d,
                       std::int64_t row_begin, std::int64_t row_end) {
@@ -577,8 +528,7 @@ ConvRowFn PickConvRowFn(int cout, int lanes) {
     case 16: return ConvRowFnAt<16>(lanes);
     case 24: return ConvRowFnAt<24>(lanes);
     case 32: return ConvRowFnAt<32>(lanes);
-    default: return cout <= kConvAccChannels ? ConvRowRangeBlocked
-                                             : ConvRowRangeWide;
+    default: return ConvRowRangeGeneric;
   }
 }
 

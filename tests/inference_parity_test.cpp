@@ -341,12 +341,13 @@ Tensor EagerEpilogue(Tensor y, const std::vector<float>& scale,
   return y;
 }
 
-// Every epilogue combination on every kernel width: each zoo width, 20 (the
-// generic kernel) and 136 (past the generic kernel's accumulator block), at
-// both lane widths and on a 2-thread pool. The affine factors, the
-// residual and the inputs carry the values the selects and the separate
-// roundings must keep: +-0 (a -0 shift, zeroed row bands), denormals, and
-// NaN and +-inf in one epilogue operand per case (see DrawNonNan).
+// Every epilogue combination on every kernel width: each zoo width, and 20
+// and 136 (no register-blocked kernel: the eager kernel, then the
+// epilogue), at both lane widths and on a 2-thread pool. The affine
+// factors, the residual and the inputs carry the values the selects and
+// the separate roundings must keep: +-0 (a -0 shift, zeroed row bands),
+// denormals, and NaN and +-inf in one epilogue operand per case (see
+// DrawNonNan).
 TEST(InferenceParityTest, Conv2dEpilogueIsBitExactOnSpecialValues) {
   Rng rng(1601);
   ThreadPool pool(2);
